@@ -19,7 +19,6 @@ from typing import Any
 from . import fileio, oracles
 from .gen import GenParams, InvalidParams, random_instance, trial_params
 from .mechanisms import (
-    InfeasibleInput,
     Mechanism,
     MechanismResult,
     PermutationError,
@@ -27,7 +26,7 @@ from .mechanisms import (
     run_mechanism,
 )
 from .model import Instance, ModelError, welfare
-from .oracles import BudgetExceeded, SizeBudget
+from .oracles import BudgetExceeded, InvalidBudget, SizeBudget
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -41,7 +40,7 @@ REPORT_PROPERTIES = ("sir", "ir", "core", "po", "maxw-sir", "maxw-ir", "maxw")
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise fileio.FileFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -184,6 +183,8 @@ def _report_checks(
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.max_agents < 0 or args.max_houses < 0:
+        raise InvalidParams("--max-agents and --max-houses must be non-negative")
     budget = SizeBudget.from_env()
     if args.max_agents > budget.max_alloc_agents or args.max_houses > budget.max_alloc_houses:
         raise BudgetExceeded(
@@ -324,13 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InfeasibleInput as exc:  # builder postcondition: never expected
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
-    except (ModelError, fileio.FileFormatError, InvalidParams, PermutationError, ValueError) as exc:
+    except (ModelError, fileio.FileFormatError, InvalidParams, PermutationError, InvalidBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except Exception as exc:  # internal invariant breach: never expected
+    except Exception as exc:  # internal fault, including any other ValueError: never expected
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 

@@ -33,6 +33,10 @@ class BudgetExceeded(ValueError):
     """Instance too large for the requested exhaustive search."""
 
 
+class InvalidBudget(ValueError):
+    """A HOUSEALLOC_MAX_* environment variable is not an integer."""
+
+
 class OracleDisagreement(RuntimeError):
     """The brute-force and certificate routes returned different verdicts."""
 
@@ -65,7 +69,10 @@ class SizeBudget:
         for attr, var in cls._ENV_FIELDS.items():
             raw = os.environ.get(var)
             if raw is not None:
-                overrides[attr] = int(raw)
+                try:
+                    overrides[attr] = int(raw)
+                except ValueError:
+                    raise InvalidBudget(f"{var}={raw!r} is not an integer") from None
         return cls(**overrides)
 
 

@@ -11,6 +11,8 @@ from housealloc.fileio import (
     loads_allocation,
     loads_instance,
 )
+from housealloc.matching import UnbalancedGraph, UnknownVertex
+from housealloc.mechanisms import InfeasibleInput
 from housealloc.model import Allocation
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -154,6 +156,37 @@ def test_run_invalid_instance_is_input_error(tmp_path, capsys):
     }))
     assert main(["run", str(src), "--mechanism", "msir"]) == 2
     assert "h1" in capsys.readouterr().err
+
+
+def test_run_undecodable_file_is_input_error(tmp_path):
+    src = tmp_path / "latin1.json"
+    src.write_bytes('{"agents": [], "houses": ["caf\u00e9"]}'.encode("latin-1"))
+    assert main(["run", str(src), "--mechanism", "msir"]) == 2
+
+
+def test_bad_budget_variable_is_input_error(monkeypatch):
+    monkeypatch.setenv("HOUSEALLOC_MAX_ALLOC_AGENTS", "eight")
+    e1 = str(FIXTURES / "e1.json")
+    assert main(["verify", e1, e1, "--properties", "ir"]) == 2
+    assert main(["report", "--trials", "1"]) == 2
+
+
+def test_negative_report_size_is_input_error():
+    # trial 0 draws n from 0..max_agents, which needs max_agents >= 0
+    assert main(["report", "--trials", "1", "--max-agents", "-1"]) == 2
+
+
+@pytest.mark.parametrize("fault", [UnbalancedGraph, UnknownVertex, InfeasibleInput, ValueError])
+def test_internal_value_errors_are_internal_errors(monkeypatch, capsys, fault):
+    # Solver and mechanism faults subclass ValueError, yet no input causes
+    # them; they must not be reported as bad input.
+    def broken(*args, **kwargs):
+        raise fault("solver fault")
+
+    monkeypatch.setattr("housealloc.cli.run_mechanism", broken)
+    code = main(["run", str(FIXTURES / "e2.json"), "--mechanism", "msir"])
+    assert code == 3
+    assert "internal error: solver fault" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
