@@ -9,6 +9,21 @@ weight-0 edges.  A deletion sticks only if a weight-W perfect matching
 still exists; the flag recorded for the agent says whether it is now
 guaranteed an acceptable house in every remaining optimum.
 
+That one solve is the only one.  Its optimum and dual potentials are
+carried through the walk, and each round is decided from them:
+
+* the agent holds a weight-1 edge in the current optimum: the optimum
+  survives the deletion, so the round is accepted with weight W and no
+  search;
+* otherwise its matched edge is among the deleted ones: one shortest-path
+  search from the agent, warm-started from the duals, gives the exact
+  optimum weight after the deletion (or none), which decides the round
+  and is what the trace records.  A rejected round puts the edges back
+  and leaves the optimum and duals untouched.
+
+The final allocation is the lexicographically smallest optimum of the
+refined graph, read off the carried duals.
+
 Graph shape (k = |n - m| pads the short side):
 
 * every endowed agent is connected to its endowment (weight 1 iff
@@ -31,10 +46,10 @@ from enum import Enum
 
 from .matching import (
     Matching,
+    OptimalMatching,
+    UncertifiedMatching,
     WeightedBipartiteGraph,
     max_weight_perfect_matching,
-    remove_zero_edges,
-    restore_edges,
 )
 from .model import Allocation, Instance, welfare
 from .rng import SplitMix64
@@ -46,8 +61,9 @@ class Mechanism(str, Enum):
 
 
 class InfeasibleInput(ValueError):
-    """The refinement loop was handed a graph that cannot reach the target
-    weight; the graph builders never produce this."""
+    """The mechanism graph has no perfect matching, or the refinement was
+    handed a matching that is not a certified optimum of its graph; the
+    graph builders and the solver never produce either."""
 
 
 class MechanismInvariantError(RuntimeError):
@@ -202,41 +218,41 @@ def build_mir_graph(instance: Instance) -> WeightedBipartiteGraph:
 def serial_refinement(
     graph: WeightedBipartiteGraph,
     permutation: tuple[str, ...],
-    target_weight: int,
-) -> tuple[WeightedBipartiteGraph, dict[str, int], tuple[RoundRecord, ...]]:
+    initial: Matching,
+) -> tuple[Matching, dict[str, int], tuple[RoundRecord, ...]]:
     """Process agents in order, locking in acceptable houses where possible.
 
-    For each agent: drop all its weight-0 edges and re-solve.  Keep the
-    drop (flag 1) iff a perfect matching of the target weight survives;
-    otherwise put the edges back (flag 0).  Mutates ``graph`` in place and
-    returns it alongside the flags and the per-round log.
+    ``initial`` is the solver's optimum of ``graph``, duals included; its
+    weight is the target W.  For each agent: drop all its weight-0 edges and
+    keep the drop (flag 1) iff a perfect matching of weight W survives;
+    otherwise put the edges back (flag 0).  Each round is decided from the
+    optimum carried over from the round before, as the module docstring
+    describes.  Mutates ``graph`` in place and returns the final,
+    lexicographically smallest optimum alongside the flags and the
+    per-round log.
     """
-    initial = max_weight_perfect_matching(graph)
-    if initial is None or initial.weight != target_weight:
-        raise InfeasibleInput(
-            f"graph does not admit a perfect matching of weight {target_weight}"
-        )
+    try:
+        optimum = OptimalMatching.certified(graph, initial)
+    except UncertifiedMatching as exc:
+        raise InfeasibleInput(f"initial matching is not an optimum of the graph: {exc}") from exc
+    target = initial.weight
     index = {label: i for i, label in enumerate(graph.left)}
     flags: dict[str, int] = {}
     rounds: list[RoundRecord] = []
     for agent in permutation:
         if agent not in index:
             raise PermutationError(f"permutation names unknown agent {agent!r}")
-        delta = remove_zero_edges(graph, index[agent])
-        solved = max_weight_perfect_matching(graph)
-        accepted = solved is not None and solved.weight >= target_weight
-        if not accepted:
-            restore_edges(graph, delta)
+        delta, weight, accepted = optimum.drop_zero_edges(index[agent], target)
         flags[agent] = 1 if accepted else 0
         rounds.append(
             RoundRecord(
                 agent=agent,
                 removed=tuple(graph.right[rj] for _, rj, _ in delta.removed),
-                weight=None if solved is None else solved.weight,
+                weight=weight,
                 accepted=accepted,
             )
         )
-    return graph, flags, tuple(rounds)
+    return optimum.canonical(), flags, tuple(rounds)
 
 
 def run_mechanism(
@@ -249,21 +265,16 @@ def run_mechanism(
     builder = build_msir_graph if mechanism is Mechanism.MSIR else build_mir_graph
     graph = builder(instance)
 
-    first = max_weight_perfect_matching(graph)
-    if first is None:
+    initial = max_weight_perfect_matching(graph)  # the run's only full solve
+    if initial is None:
         raise InfeasibleInput("mechanism graph admits no perfect matching")
-    target = first.weight
 
     permutation = policy.realize(instance.agents)
-    graph, flags, rounds = serial_refinement(graph, permutation, target)
-
-    final = max_weight_perfect_matching(graph)
-    if final is None or final.weight != target:
-        raise MechanismInvariantError("refined graph lost the target weight")
+    final, flags, rounds = serial_refinement(graph, permutation, initial)
 
     allocation = _extract_allocation(instance, final)
     trace = MechanismTrace(
-        initial_weight=target,
+        initial_weight=initial.weight,
         permutation=permutation,
         satisfied_flags=flags,
         rounds=rounds,

@@ -6,6 +6,7 @@ import pytest
 
 from housealloc.matching import (
     Matching,
+    OptimalMatching,
     UnbalancedGraph,
     UnknownVertex,
     WeightedBipartiteGraph,
@@ -16,6 +17,7 @@ from housealloc.matching import (
 )
 from housealloc.mechanisms import build_msir_graph
 from housealloc.rng import SplitMix64
+from reference_solver import reference_optimum
 
 
 def brute_force_optimum(graph):
@@ -175,6 +177,22 @@ def test_solver_matches_brute_force_on_larger_graphs():
             assert solved is None
         else:
             assert (solved.weight, solved.assignment) == brute
+
+
+def test_solver_matches_reference_and_certifies_itself():
+    # sizes beyond brute force: the dense reference solver decides, and the
+    # returned duals must prove optimality on their own
+    rng = SplitMix64(8080)
+    for _ in range(120):
+        size = 5 + rng.bounded(8)
+        g = random_graph(rng, size, 0.2 + 0.7 * rng.float01())
+        solved = max_weight_perfect_matching(g)
+        expected = reference_optimum(g)
+        if expected is None:
+            assert solved is None
+            continue
+        assert (solved.weight, solved.assignment) == expected
+        OptimalMatching.certified(g, solved)  # raises unless the duals prove it
 
 
 def test_determinism_pair_for_pair():

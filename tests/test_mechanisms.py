@@ -1,7 +1,7 @@
 import pytest
 
 from housealloc.gen import random_instance, trial_params
-from housealloc.matching import has_perfect_matching, max_weight_perfect_matching
+from housealloc.matching import Matching, has_perfect_matching, max_weight_perfect_matching
 from housealloc.mechanisms import (
     InfeasibleInput,
     Mechanism,
@@ -109,7 +109,7 @@ def test_dummy_labels_avoid_collisions():
 
 def test_refinement_e2_msir_rejects_both(e2):
     g = build_msir_graph(e2)
-    _, flags, rounds = serial_refinement(g, ("1", "2"), 0)
+    final, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 0, "2": 0}
     assert rounds[0].removed == ("h1",)
     assert rounds[0].weight is None  # pinning 1 to h2 starves agent 2
@@ -118,14 +118,16 @@ def test_refinement_e2_msir_rejects_both(e2):
     assert rounds[1].weight is None
     # both removals were rolled back
     assert g == build_msir_graph(e2)
+    assert final == Matching(assignment=(0, 1), weight=0)
 
 
 def test_refinement_e2_mir_locks_agent1(e2):
     g = build_mir_graph(e2)
-    _, flags, rounds = serial_refinement(g, ("1", "2"), 1)
+    final, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 1, "2": 0}
     assert rounds[0].accepted and rounds[0].weight == 1
     assert not rounds[1].accepted and rounds[1].weight is None
+    assert final == Matching(assignment=(1, 0), weight=1)
 
 
 def test_refinement_all_weight_one_removes_nothing():
@@ -135,19 +137,43 @@ def test_refinement_all_weight_one_removes_nothing():
         {"1": {"h1", "h2"}, "2": {"h1", "h2"}},
     )
     g = build_mir_graph(inst)
-    _, flags, rounds = serial_refinement(g, ("1", "2"), 2)
+    _, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 1, "2": 1}
     assert all(r.removed == () for r in rounds)
 
 
 def test_refinement_rejects_unreachable_target(e2):
+    g = build_msir_graph(e2)
+    optimum = max_weight_perfect_matching(g)
     with pytest.raises(InfeasibleInput):
-        serial_refinement(build_msir_graph(e2), ("1", "2"), 5)
+        serial_refinement(g, ("1", "2"), Matching(optimum.assignment, 5, optimum.duals))
+    # a matching without duals proving it optimal is refused as well
+    with pytest.raises(InfeasibleInput):
+        serial_refinement(g, ("1", "2"), Matching(optimum.assignment, 0))
+
+
+def test_run_solves_from_scratch_once(monkeypatch):
+    from housealloc import mechanisms
+
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return max_weight_perfect_matching(graph)
+
+    monkeypatch.setattr(mechanisms, "max_weight_perfect_matching", counting)
+    for trial in range(40):
+        inst = random_instance(trial_params(13, trial, 7, 7))
+        for mech in Mechanism:
+            calls.clear()
+            run_mechanism(inst, mech)
+            assert len(calls) == 1
 
 
 def test_refinement_rejects_unknown_agent(e2):
+    g = build_msir_graph(e2)
     with pytest.raises(PermutationError):
-        serial_refinement(build_msir_graph(e2), ("1", "nope"), 0)
+        serial_refinement(g, ("1", "nope"), max_weight_perfect_matching(g))
 
 
 # ---------------------------------------------------------------------------
