@@ -116,7 +116,8 @@ class PermutationPolicy:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One refinement round: which edges went, what the re-solve said."""
+    """One refinement round: which edges went, what weight the optimum
+    kept without them."""
 
     agent: str
     removed: tuple[str, ...]  # right-vertex labels of the removed edges
