@@ -125,7 +125,6 @@ class Matching:
 class EdgeDelta:
     """Edges removed from a graph; restoring them undoes the removal exactly."""
 
-    vertex: int
     removed: tuple[tuple[int, int, int], ...]  # (left, right, weight)
 
 
@@ -375,11 +374,6 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching | Non
     return state.canonical()
 
 
-def has_perfect_matching(graph: WeightedBipartiteGraph) -> bool:
-    """True iff a perfect matching exists; edge weights are irrelevant."""
-    return max_weight_perfect_matching(graph) is not None
-
-
 def remove_zero_edges(graph: WeightedBipartiteGraph, li: int) -> EdgeDelta:
     """Remove every weight-0 edge of left vertex ``li`` from the graph.
 
@@ -391,7 +385,7 @@ def remove_zero_edges(graph: WeightedBipartiteGraph, li: int) -> EdgeDelta:
     removed = tuple((li, rj, 0) for rj, w in sorted(row.items()) if w == 0)
     for _, rj, _ in removed:
         del row[rj]
-    return EdgeDelta(vertex=li, removed=removed)
+    return EdgeDelta(removed=removed)
 
 
 def restore_edges(graph: WeightedBipartiteGraph, delta: EdgeDelta) -> None:

@@ -24,19 +24,20 @@ carried through the walk, and each round is decided from them:
 The final allocation is the lexicographically smallest optimum of the
 refined graph, read off the carried duals.
 
-Graph shape (k = |n - m| pads the short side):
+Graph shape (k = |n - m| dummies pad the short side):
 
-* every endowed agent is connected to its endowment (weight 1 iff
-  acceptable) and to its other acceptable houses (weight 1);
-* under MSIR those are its only edges, so an agent with an acceptable
-  endowment is pinned to it and nobody endowed can drift to a strange
-  house; feasibility coincides with strong individual rationality;
-* under MIR an agent whose endowment is unacceptable is additionally
-  connected to every right vertex (weight 0 on the unacceptable ones),
-  so it may trade away or end up with nothing; feasibility coincides
-  with plain individual rationality;
-* unendowed agents connect to every right vertex, dummy agents and dummy
-  houses carry weight 0 everywhere they appear.
+* an agent is *free* when it has no endowment, or, under MIR, when its
+  endowment is unacceptable.  A free agent is connected to every right
+  vertex, with weight 1 iff that vertex is a real house the agent accepts,
+  so it may trade into any house or end up with nothing (a dummy house);
+* every other agent is connected to its endowment, with weight 1 iff the
+  endowment is acceptable, and with weight 1 to each of its other
+  acceptable houses -- except under MSIR when the endowment is acceptable,
+  which pins the agent to it;
+* dummy agents are connected to every right vertex with weight 0.
+
+So the perfect matchings are exactly the S-IR allocations under MSIR and
+the IR allocations under MIR.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class Mechanism(str, Enum):
 class InfeasibleInput(ValueError):
     """The mechanism graph has no perfect matching, or the refinement was
     handed a matching that is not a certified optimum of its graph; the
-    graph builders and the solver never produce either."""
+    graph builder and the solver never produce either."""
 
 
 class MechanismInvariantError(RuntimeError):
@@ -165,52 +166,29 @@ def _padded_sides(instance: Instance) -> tuple[tuple[str, ...], tuple[str, ...]]
     return tuple(left), tuple(right)
 
 
-def build_msir_graph(instance: Instance) -> WeightedBipartiteGraph:
-    """Feasibility graph whose perfect matchings are the S-IR allocations."""
+def build_graph(instance: Instance, mechanism: Mechanism) -> WeightedBipartiteGraph:
+    """Feasibility graph whose perfect matchings are the S-IR (MSIR) or the
+    IR (MIR) allocations; the shape is the module docstring's rule."""
     left, right = _padded_sides(instance)
     graph = WeightedBipartiteGraph(left, right)
     n, m = instance.num_agents, instance.num_houses
     hidx = instance.house_index
+    msir = mechanism is Mechanism.MSIR
     for ai, agent in enumerate(instance.agents):
         own = instance.endowment_of(agent)
         acc = instance.acceptable[agent]
-        if own is not None:
-            graph.add_edge(ai, hidx[own], 1 if own in acc else 0)
-            if own not in acc:
+        liked = own in acc
+        if own is None or not (msir or liked):
+            for rj in range(len(right)):
+                real_and_acceptable = rj < m and right[rj] in acc
+                graph.add_edge(ai, rj, 1 if real_and_acceptable else 0)
+        else:
+            graph.add_edge(ai, hidx[own], 1 if liked else 0)
+            if not (msir and liked):
                 for house in instance.houses:
                     if house in acc and house != own:
                         graph.add_edge(ai, hidx[house], 1)
-        else:
-            for rj in range(len(right)):
-                real_and_acceptable = rj < m and right[rj] in acc
-                graph.add_edge(ai, rj, 1 if real_and_acceptable else 0)
     for ai in range(n, len(left)):  # dummy agents
-        for rj in range(len(right)):
-            graph.add_edge(ai, rj, 0)
-    return graph
-
-
-def build_mir_graph(instance: Instance) -> WeightedBipartiteGraph:
-    """Feasibility graph whose perfect matchings are the IR allocations."""
-    left, right = _padded_sides(instance)
-    graph = WeightedBipartiteGraph(left, right)
-    n, m = instance.num_agents, instance.num_houses
-    hidx = instance.house_index
-    for ai, agent in enumerate(instance.agents):
-        own = instance.endowment_of(agent)
-        acc = instance.acceptable[agent]
-        if own is not None and own in acc:
-            graph.add_edge(ai, hidx[own], 1)
-            for house in instance.houses:
-                if house in acc and house != own:
-                    graph.add_edge(ai, hidx[house], 1)
-        else:
-            # Unacceptable endowment or no endowment: free to go anywhere,
-            # including a dummy house (= receive nothing).
-            for rj in range(len(right)):
-                real_and_acceptable = rj < m and right[rj] in acc
-                graph.add_edge(ai, rj, 1 if real_and_acceptable else 0)
-    for ai in range(n, len(left)):
         for rj in range(len(right)):
             graph.add_edge(ai, rj, 0)
     return graph
@@ -263,8 +241,7 @@ def run_mechanism(
 ) -> MechanismResult:
     """Run MSIR or MIR end to end and return the allocation plus its trace."""
     policy = policy or PermutationPolicy.identity()
-    builder = build_msir_graph if mechanism is Mechanism.MSIR else build_mir_graph
-    graph = builder(instance)
+    graph = build_graph(instance, mechanism)
 
     initial = max_weight_perfect_matching(graph)  # the run's only full solve
     if initial is None:

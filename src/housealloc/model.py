@@ -76,9 +76,6 @@ class Instance:
     def endowment_of(self, agent: str) -> str | None:
         return self.endowment.get(agent)
 
-    def is_acceptable(self, agent: str, house: str) -> bool:
-        return house in self.acceptable[agent]
-
     def has_acceptable_endowment(self, agent: str) -> bool:
         own = self.endowment.get(agent)
         return own is not None and own in self.acceptable[agent]
@@ -96,9 +93,6 @@ class Allocation:
 
     def house_of(self, agent: str) -> str | None:
         return self.assignment.get(agent)
-
-    def assigned_houses(self) -> list[str]:
-        return [h for h in self.assignment.values() if h is not None]
 
 
 def validate_instance(

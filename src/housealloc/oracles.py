@@ -1,11 +1,13 @@
 """Mechanism-agnostic verification of allocation properties.
 
-Everything here is deliberately independent of the Hungarian solver the
+Everything here is deliberately independent of the matching solver the
 mechanisms run on: welfare maxima come from exhaustive enumeration of
-injective partial assignments, feasibility questions inside the searches
-use a separate augmenting-path matcher, and every negative verdict carries
-a witness that a standalone checker can re-validate without re-running the
-search that found it.
+injective partial assignments, and the maximum welfare and the
+feasibility questions inside the searches come from one augmenting-path
+matcher of its own (Kuhn's, with an explicit stack, so its depth is not
+bounded by the interpreter's recursion limit).  Every negative verdict
+carries a witness that a standalone checker can re-validate without
+re-running the search that found it.
 
 Brute-force searches are bounded by a :class:`SizeBudget`; exceeding a
 budget raises :class:`BudgetExceeded` rather than silently truncating.
@@ -198,48 +200,42 @@ def sir_violation(instance: Instance, allocation: Allocation) -> ViolationWitnes
 # Augmenting-path matcher (independent of the matching module)
 
 
-def _kuhn_assign(adj: list[list[int]], n_right: int) -> list[int] | None:
-    """Match every left vertex into distinct right vertices, or None.
+def _kuhn(adj: list[list[int]], n_right: int) -> list[int]:
+    """Maximum-cardinality matching (Kuhn); the right vertex of each left
+    vertex, or -1 if it stays unmatched.
 
-    ``adj[i]`` lists the right vertices allowed for left vertex i; vertices
-    are tried in index order, so the result is deterministic.
+    Left vertices are rooted in index order and ``adj[i]`` is scanned in the
+    order given, each root with a fresh ``seen`` array, so the result is
+    deterministic.  The depth-first search keeps its own stack: ``stack``
+    holds the left vertices on the current alternating path with the next
+    position to scan in each row, ``path`` the right vertex taken from each
+    but the last.
     """
     match_right = [-1] * n_right
-
-    def try_assign(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or try_assign(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in range(len(adj)):
-        if not try_assign(i, [False] * n_right):
-            return None
-    matched = [-1] * len(adj)
-    for j, i in enumerate(match_right):
-        if i != -1:
-            matched[i] = j
-    return matched
-
-
-def _kuhn_maximum(adj: list[list[int]], n_right: int) -> list[int]:
-    """Maximum-cardinality matching; returns right match per left (-1 if none)."""
-    match_right = [-1] * n_right
-
-    def try_assign(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or try_assign(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in range(len(adj)):
-        try_assign(i, [False] * n_right)
+    for root in range(len(adj)):
+        seen = [False] * n_right
+        stack = [[root, 0]]
+        path: list[int] = []
+        while stack:
+            frame = stack[-1]
+            i, pos = frame
+            row = adj[i]
+            while pos < len(row) and seen[row[pos]]:
+                pos += 1
+            if pos == len(row):  # i has no augmenting path left
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            j = row[pos]
+            frame[1] = pos + 1
+            seen[j] = True
+            path.append(j)
+            if match_right[j] == -1:  # augment along the whole path
+                for (li, _), rj in zip(stack, path):
+                    match_right[rj] = li
+                break
+            stack.append([match_right[j], 0])
     matched = [-1] * len(adj)
     for j, i in enumerate(match_right):
         if i != -1:
@@ -371,7 +367,7 @@ def max_welfare_allocation(instance: Instance) -> tuple[int, Allocation]:
         [j for j, h in enumerate(instance.houses) if h in instance.acceptable[a]]
         for a in instance.agents
     ]
-    matched = _kuhn_maximum(adj, instance.num_houses)
+    matched = _kuhn(adj, instance.num_houses)
     assignment: dict[str, str | None] = {
         a: (instance.houses[matched[i]] if matched[i] >= 0 else None)
         for i, a in enumerate(instance.agents)
@@ -425,8 +421,8 @@ def _po_certificate(instance: Instance, allocation: Allocation) -> Verdict:
         if agent in sat:
             continue
         group = sat_indices + [j_idx]
-        matched = _kuhn_assign([acc_rows[i] for i in group], instance.num_houses)
-        if matched is None:
+        matched = _kuhn([acc_rows[i] for i in group], instance.num_houses)
+        if -1 in matched:
             continue
         assignment: dict[str, str | None] = {a: None for a in instance.agents}
         for pos, i in enumerate(group):
@@ -546,8 +542,8 @@ def _find_strict_trade(
         if not options:
             return None
         adj.append(options)
-    matched = _kuhn_assign(adj, len(pool))
-    if matched is None:
+    matched = _kuhn(adj, len(pool))
+    if -1 in matched:
         return None
     return BlockingWitness(
         coalition=tuple(members),
@@ -600,8 +596,8 @@ def is_strict_core_stable(
                 adj.append(options)
             if not feasible:
                 continue
-            matched = _kuhn_assign(adj, len(pool))
-            if matched is None:
+            matched = _kuhn(adj, len(pool))
+            if -1 in matched:
                 continue
             return Verdict(
                 False,
@@ -817,7 +813,6 @@ def evaluate_properties(
     allocation: Allocation,
     properties: tuple[str, ...],
     budget: SizeBudget | None = None,
-    po_method: str = "certificate",
 ) -> PropertyReport:
     """Evaluate the requested property keys against one allocation."""
     budget = budget or SizeBudget.from_env()
@@ -838,7 +833,7 @@ def evaluate_properties(
             bad = sir_violation(instance, allocation)
             verdicts[key] = Verdict(bad is None, bad)
         elif key == "po":
-            verdicts[key] = is_pareto_optimal(instance, allocation, budget, po_method)
+            verdicts[key] = is_pareto_optimal(instance, allocation, budget)
         elif key == "core":
             verdicts[key] = is_core_stable(instance, allocation, budget)
         elif key == "strict-core":

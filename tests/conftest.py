@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from housealloc.matching import max_weight_perfect_matching
 from housealloc.model import validate_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -41,6 +42,11 @@ def make_e3():
         endowment={"1": "h1", "2": "h2", "3": "h3", "4": "h4"},
         acceptable={"1": {"h2"}, "2": {"h1"}, "3": {"h1"}, "4": {"h2"}},
     )
+
+
+def has_perfect_matching(graph):
+    """True iff a perfect matching exists; edge weights are irrelevant."""
+    return max_weight_perfect_matching(graph) is not None
 
 
 @pytest.fixture

@@ -23,17 +23,13 @@ from housealloc.fileio import (
     loads_instance,
 )
 from housealloc.gen import random_instance, trial_params
-from housealloc.matching import (
-    WeightedBipartiteGraph,
-    has_perfect_matching,
-    max_weight_perfect_matching,
-)
+from housealloc.matching import WeightedBipartiteGraph, max_weight_perfect_matching
 from housealloc.mechanisms import Mechanism, run_mechanism
 from housealloc.model import Allocation, welfare
 from housealloc import oracles
 from housealloc.rng import SplitMix64
 
-from conftest import make_e1, make_e2, make_e3
+from conftest import has_perfect_matching, make_e1, make_e2, make_e3
 
 MASTER_SEED = 0
 FIXTURES = Path(__file__).parent / "fixtures"

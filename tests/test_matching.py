@@ -10,13 +10,13 @@ from housealloc.matching import (
     UnbalancedGraph,
     UnknownVertex,
     WeightedBipartiteGraph,
-    has_perfect_matching,
     max_weight_perfect_matching,
     remove_zero_edges,
     restore_edges,
 )
-from housealloc.mechanisms import build_msir_graph
+from housealloc.mechanisms import Mechanism, build_graph
 from housealloc.rng import SplitMix64
+from conftest import has_perfect_matching
 from reference_solver import reference_optimum
 
 
@@ -96,7 +96,7 @@ def test_isolated_vertex_infeasible():
 
 def test_msir_graph_of_e1_weight(e1):
     # frozen from the brute-force search over all 6! assignments
-    g = build_msir_graph(e1)
+    g = build_graph(e1, Mechanism.MSIR)
     brute = brute_force_optimum(g)
     assert brute is not None and brute[0] == 5
     solved = max_weight_perfect_matching(g)
@@ -125,7 +125,7 @@ def test_remove_zero_edges_unknown_vertex():
 
 
 def test_remove_zero_edges_e1_agent4(e1):
-    g = build_msir_graph(e1)
+    g = build_graph(e1, Mechanism.MSIR)
     li = list(g.left).index("4")
     assert g.edges_of(li) == [(3, 0), (4, 1)]  # h4 weight 0, h5 weight 1
     delta = remove_zero_edges(g, li)

@@ -1,19 +1,19 @@
 import pytest
 
 from housealloc.gen import random_instance, trial_params
-from housealloc.matching import Matching, has_perfect_matching, max_weight_perfect_matching
+from housealloc.matching import Matching, max_weight_perfect_matching
 from housealloc.mechanisms import (
     InfeasibleInput,
     Mechanism,
     PermutationError,
     PermutationPolicy,
-    build_mir_graph,
-    build_msir_graph,
+    build_graph,
     run_mechanism,
     serial_refinement,
 )
 from housealloc.model import validate_instance, welfare
 from housealloc import oracles
+from conftest import has_perfect_matching
 
 
 def labelled_edges(graph):
@@ -32,7 +32,7 @@ def edges_of_agent(graph, agent):
 
 
 def test_msir_graph_e1_structure(e1):
-    g = build_msir_graph(e1)
+    g = build_graph(e1, Mechanism.MSIR)
     assert len(g.left) == len(g.right) == 6  # one dummy agent pads 5 vs 6
     dummies = [v for v in g.left if v not in e1.agents]
     assert len(dummies) == 1
@@ -46,17 +46,17 @@ def test_msir_graph_e1_structure(e1):
 
 def test_msir_graph_own_acceptable_house_single_edge():
     inst = validate_instance(["1"], ["h1"], {"1": "h1"}, {"1": {"h1"}})
-    g = build_msir_graph(inst)
+    g = build_graph(inst, Mechanism.MSIR)
     assert labelled_edges(g) == {("1", "h1", 1)}
 
 
 def test_msir_graph_e2_edges(e2):
-    g = build_msir_graph(e2)
+    g = build_graph(e2, Mechanism.MSIR)
     assert labelled_edges(g) == {("1", "h1", 0), ("1", "h2", 1), ("2", "h2", 0)}
 
 
 def test_mir_graph_e2_edges(e2):
-    g = build_mir_graph(e2)
+    g = build_graph(e2, Mechanism.MIR)
     assert labelled_edges(g) == {
         ("1", "h1", 0), ("1", "h2", 1), ("2", "h1", 0), ("2", "h2", 0)
     }
@@ -66,13 +66,13 @@ def test_mir_graph_acceptable_endowment_edges_only_acceptable():
     inst = validate_instance(
         ["1", "2"], ["h1", "h2"], {"1": "h1", "2": "h2"}, {"1": {"h1"}, "2": set()}
     )
-    g = build_mir_graph(inst)
+    g = build_graph(inst, Mechanism.MIR)
     assert edges_of_agent(g, "1") == {("h1", 1)}
 
 
 def test_mir_graph_e1_all_agents_reach_every_house(e1):
     # every endowed agent of E1 dislikes its own house, so MIR frees them all
-    g = build_mir_graph(e1)
+    g = build_graph(e1, Mechanism.MIR)
     for agent in e1.agents:
         houses = {h for h, _ in edges_of_agent(g, agent)}
         assert houses == set(e1.houses)
@@ -82,14 +82,14 @@ def test_mir_graph_e1_all_agents_reach_every_house(e1):
 
 
 def test_msir_graph_e2_has_perfect_matching(e2):
-    assert has_perfect_matching(build_msir_graph(e2))
+    assert has_perfect_matching(build_graph(e2, Mechanism.MSIR))
 
 
 def test_builders_always_feasible():
     for trial in range(120):
         inst = random_instance(trial_params(31, trial, 6, 6))
-        for build in (build_msir_graph, build_mir_graph):
-            g = build(inst)
+        for mech in Mechanism:
+            g = build_graph(inst, mech)
             assert len(g.left) == len(g.right)
             assert max_weight_perfect_matching(g) is not None
 
@@ -98,7 +98,7 @@ def test_dummy_labels_avoid_collisions():
     inst = validate_instance(
         ["a", "~dummy_agent_0"], ["h"], {}, {"a": {"h"}, "~dummy_agent_0": set()}
     )
-    g = build_msir_graph(inst)  # needs one dummy agent; name must not clash
+    g = build_graph(inst, Mechanism.MSIR)  # needs one dummy agent; name must not clash
     assert len(set(g.left)) == 2 + 0 or len(set(g.left)) == len(g.left)
     assert len(g.left) == len(set(g.left))
 
@@ -108,7 +108,7 @@ def test_dummy_labels_avoid_collisions():
 
 
 def test_refinement_e2_msir_rejects_both(e2):
-    g = build_msir_graph(e2)
+    g = build_graph(e2, Mechanism.MSIR)
     final, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 0, "2": 0}
     assert rounds[0].removed == ("h1",)
@@ -117,12 +117,12 @@ def test_refinement_e2_msir_rejects_both(e2):
     assert rounds[1].removed == ("h2",)
     assert rounds[1].weight is None
     # both removals were rolled back
-    assert g == build_msir_graph(e2)
+    assert g == build_graph(e2, Mechanism.MSIR)
     assert final == Matching(assignment=(0, 1), weight=0)
 
 
 def test_refinement_e2_mir_locks_agent1(e2):
-    g = build_mir_graph(e2)
+    g = build_graph(e2, Mechanism.MIR)
     final, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 1, "2": 0}
     assert rounds[0].accepted and rounds[0].weight == 1
@@ -136,14 +136,14 @@ def test_refinement_all_weight_one_removes_nothing():
         {},
         {"1": {"h1", "h2"}, "2": {"h1", "h2"}},
     )
-    g = build_mir_graph(inst)
+    g = build_graph(inst, Mechanism.MIR)
     _, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 1, "2": 1}
     assert all(r.removed == () for r in rounds)
 
 
 def test_refinement_rejects_unreachable_target(e2):
-    g = build_msir_graph(e2)
+    g = build_graph(e2, Mechanism.MSIR)
     optimum = max_weight_perfect_matching(g)
     with pytest.raises(InfeasibleInput):
         serial_refinement(g, ("1", "2"), Matching(optimum.assignment, 5, optimum.duals))
@@ -171,7 +171,7 @@ def test_run_solves_from_scratch_once(monkeypatch):
 
 
 def test_refinement_rejects_unknown_agent(e2):
-    g = build_msir_graph(e2)
+    g = build_graph(e2, Mechanism.MSIR)
     with pytest.raises(PermutationError):
         serial_refinement(g, ("1", "nope"), max_weight_perfect_matching(g))
 

@@ -16,13 +16,10 @@ from housealloc.matching import max_weight_perfect_matching, remove_zero_edges, 
 from housealloc.mechanisms import (
     Mechanism,
     PermutationPolicy,
-    build_mir_graph,
-    build_msir_graph,
+    build_graph,
     serial_refinement,
 )
 from reference_solver import reference_optimum
-
-BUILDERS = {Mechanism.MSIR: build_msir_graph, Mechanism.MIR: build_mir_graph}
 
 
 def reference_refinement(graph, permutation):
@@ -67,9 +64,9 @@ def test_every_round_equals_reference_re_solve(mech):
             continue
         permutation = policy.realize(instance.agents)
         expected_rounds, expected_final = reference_refinement(
-            BUILDERS[mech](instance), permutation
+            build_graph(instance, mech), permutation
         )
-        graph = BUILDERS[mech](instance)
+        graph = build_graph(instance, mech)
         initial = max_weight_perfect_matching(graph)
         final, flags, rounds = serial_refinement(graph, permutation, initial)
         got = [(r.agent, r.removed, r.weight, r.accepted) for r in rounds]

@@ -9,6 +9,8 @@ from __future__ import annotations
 import pytest
 
 from housealloc import oracles
+from housealloc.cli import main
+from housealloc.fileio import dumps_allocation, dumps_instance
 from housealloc.gen import GenParams, random_instance
 from housealloc.mechanisms import Mechanism, PermutationPolicy, run_mechanism
 from housealloc.model import validate_instance, welfare
@@ -33,7 +35,7 @@ def check_postconditions(instance, mechanism, result):
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
-def test_1500_agent_chain(mechanism):
+def test_1500_agent_chain(mechanism, tmp_path):
     instance = chain(1500)
     result = run_mechanism(instance, mechanism)
     check_postconditions(instance, mechanism, result)
@@ -41,6 +43,12 @@ def test_1500_agent_chain(mechanism):
     # under IR agent 0 holds h0, so every neighbour is left with its own
     assert result.trace.initial_weight == 1500
     assert all(result.allocation.house_of(f"a{i}") == f"h{i}" for i in range(1500))
+    # the oracles' matcher walks augmenting paths as long as the chain
+    assert oracles.max_welfare(instance) == 1500
+    inst, alloc = tmp_path / "chain.json", tmp_path / "alloc.json"
+    inst.write_text(dumps_instance(instance))
+    alloc.write_text(dumps_allocation(instance, result.allocation, result.trace))
+    assert main(["verify", str(inst), str(alloc), "--properties", "ir,sir,po,maxw"]) == 0
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
