@@ -9,8 +9,8 @@ weight-0 edges.  A deletion sticks only if a weight-W perfect matching
 still exists; the flag recorded for the agent says whether it is now
 guaranteed an acceptable house in every remaining optimum.
 
-That one solve is the only one.  Its optimum and dual potentials are
-carried through the walk, and each round is decided from them:
+That one solve is the only one.  The solver's optimum and dual potentials
+are carried through the walk, and each round is decided from them:
 
 * the agent holds a weight-1 edge in the current optimum: the optimum
   survives the deletion, so the round is accepted with weight W and no
@@ -22,7 +22,10 @@ carried through the walk, and each round is decided from them:
   and leaves the optimum and duals untouched.
 
 The final allocation is the lexicographically smallest optimum of the
-refined graph, read off the carried duals.
+refined graph, read once from the carried duals at the end.  Under optimal
+duals the optima are exactly the perfect matchings of the tight subgraph,
+so that lex-min optimum does not depend on which optimum the walk started
+from or passed through.
 
 Graph shape (k = |n - m| dummies pad the short side):
 
@@ -48,7 +51,6 @@ from enum import Enum
 from .matching import (
     Matching,
     OptimalMatching,
-    UncertifiedMatching,
     WeightedBipartiteGraph,
     max_weight_perfect_matching,
 )
@@ -62,9 +64,8 @@ class Mechanism(str, Enum):
 
 
 class InfeasibleInput(ValueError):
-    """The mechanism graph has no perfect matching, or the refinement was
-    handed a matching that is not a certified optimum of its graph; the
-    graph builder and the solver never produce either."""
+    """The mechanism graph has no perfect matching; the graph builder never
+    produces such a graph."""
 
 
 class MechanismInvariantError(RuntimeError):
@@ -170,63 +171,60 @@ def build_graph(instance: Instance, mechanism: Mechanism) -> WeightedBipartiteGr
     """Feasibility graph whose perfect matchings are the S-IR (MSIR) or the
     IR (MIR) allocations; the shape is the module docstring's rule."""
     left, right = _padded_sides(instance)
-    graph = WeightedBipartiteGraph(left, right)
-    n, m = instance.num_agents, instance.num_houses
+    m = instance.num_houses
     hidx = instance.house_index
     msir = mechanism is Mechanism.MSIR
-    for ai, agent in enumerate(instance.agents):
+    rows: list[dict[int, int]] = []
+    for agent in instance.agents:
+        row: dict[int, int] = {}
         own = instance.endowment_of(agent)
         acc = instance.acceptable[agent]
         liked = own in acc
         if own is None or not (msir or liked):
             for rj in range(len(right)):
-                real_and_acceptable = rj < m and right[rj] in acc
-                graph.add_edge(ai, rj, 1 if real_and_acceptable else 0)
+                row[rj] = 1 if rj < m and right[rj] in acc else 0
         else:
-            graph.add_edge(ai, hidx[own], 1 if liked else 0)
+            row[hidx[own]] = 1 if liked else 0
             if not (msir and liked):
                 for house in instance.houses:
                     if house in acc and house != own:
-                        graph.add_edge(ai, hidx[house], 1)
-    for ai in range(n, len(left)):  # dummy agents
-        for rj in range(len(right)):
-            graph.add_edge(ai, rj, 0)
-    return graph
+                        row[hidx[house]] = 1
+        rows.append(row)
+    rows.extend(  # dummy agents
+        dict.fromkeys(range(len(right)), 0) for _ in range(len(left) - len(rows))
+    )
+    return WeightedBipartiteGraph(left, right, rows)
 
 
 def serial_refinement(
     graph: WeightedBipartiteGraph,
     permutation: tuple[str, ...],
-    initial: Matching,
+    optimum: OptimalMatching,
 ) -> tuple[Matching, dict[str, int], tuple[RoundRecord, ...]]:
     """Process agents in order, locking in acceptable houses where possible.
 
-    ``initial`` is the solver's optimum of ``graph``, duals included; its
+    ``optimum`` is the solver's optimum of ``graph``, duals included; its
     weight is the target W.  For each agent: drop all its weight-0 edges and
     keep the drop (flag 1) iff a perfect matching of weight W survives;
     otherwise put the edges back (flag 0).  Each round is decided from the
     optimum carried over from the round before, as the module docstring
-    describes.  Mutates ``graph`` in place and returns the final,
-    lexicographically smallest optimum alongside the flags and the
+    describes.  Mutates ``graph`` and ``optimum`` in place and returns the
+    final, lexicographically smallest optimum alongside the flags and the
     per-round log.
     """
-    try:
-        optimum = OptimalMatching.certified(graph, initial)
-    except UncertifiedMatching as exc:
-        raise InfeasibleInput(f"initial matching is not an optimum of the graph: {exc}") from exc
-    target = initial.weight
+    target = optimum.weight
     index = {label: i for i, label in enumerate(graph.left)}
     flags: dict[str, int] = {}
     rounds: list[RoundRecord] = []
     for agent in permutation:
         if agent not in index:
             raise PermutationError(f"permutation names unknown agent {agent!r}")
-        delta, weight, accepted = optimum.drop_zero_edges(index[agent], target)
+        removed, weight, accepted = optimum.drop_zero_edges(index[agent], target)
         flags[agent] = 1 if accepted else 0
         rounds.append(
             RoundRecord(
                 agent=agent,
-                removed=tuple(graph.right[rj] for _, rj, _ in delta.removed),
+                removed=tuple(graph.right[rj] for rj in removed),
                 weight=weight,
                 accepted=accepted,
             )
@@ -243,16 +241,17 @@ def run_mechanism(
     policy = policy or PermutationPolicy.identity()
     graph = build_graph(instance, mechanism)
 
-    initial = max_weight_perfect_matching(graph)  # the run's only full solve
-    if initial is None:
+    optimum = max_weight_perfect_matching(graph)  # the run's only full solve
+    if optimum is None:
         raise InfeasibleInput("mechanism graph admits no perfect matching")
+    target = optimum.weight
 
     permutation = policy.realize(instance.agents)
-    final, flags, rounds = serial_refinement(graph, permutation, initial)
+    final, flags, rounds = serial_refinement(graph, permutation, optimum)
 
     allocation = _extract_allocation(instance, final)
     trace = MechanismTrace(
-        initial_weight=initial.weight,
+        initial_weight=target,
         permutation=permutation,
         satisfied_flags=flags,
         rounds=rounds,

@@ -285,11 +285,13 @@ def welfare_maxima(instance: Instance, budget: SizeBudget | None = None) -> Welf
     ]
 
     best = [-1, -1, -1]  # unconstrained, ir, sir
+    floor = -1  # min(best), which changes only when a leaf raises best
     argmax: list[list[int] | None] = [None, None, None]
     cur = [-1] * n
 
     def rec(i: int, used: int, wel: int, ir_ok: bool, sir_ok: bool) -> None:
-        if wel + (n - i) <= min(best):
+        nonlocal floor
+        if wel + (n - i) <= floor:
             return
         if i == n:
             if wel > best[0]:
@@ -301,6 +303,7 @@ def welfare_maxima(instance: Instance, budget: SizeBudget | None = None) -> Welf
             if sir_ok and wel > best[2]:
                 best[2] = wel
                 argmax[2] = cur.copy()
+            floor = min(best)
             return
         endowed = endow_idx[i] >= 0
         # receive nothing

@@ -49,6 +49,27 @@ def has_perfect_matching(graph):
     return max_weight_perfect_matching(graph) is not None
 
 
+def assert_certified(optimum):
+    """Assert that an ``OptimalMatching`` is a perfect matching of its graph,
+    of its stated weight, whose duals prove it optimal: every edge has
+    reduced cost ``1 - w - u[li] - v[rj] >= 0``, every matched edge 0."""
+    graph, mate, u, v = optimum.graph, optimum.mate, optimum.u, optimum.v
+    size = len(graph.left)
+    assert len(mate) == len(u) == len(v) == size == len(graph.right)
+    assert sorted(mate) == list(range(size)), "assignment is not a permutation"
+    assert all(optimum.owner[rj] == li for li, rj in enumerate(mate))
+    total = 0
+    for li, row in enumerate(graph.rows):
+        w = row.get(mate[li])
+        assert w is not None, f"left vertex {li} is matched along no edge"
+        assert 1 - w - u[li] - v[mate[li]] == 0, f"matched edge of {li} is not tight"
+        assert all(1 - x - u[li] - v[rj] >= 0 for rj, x in row.items()), (
+            f"duals are infeasible at left vertex {li}"
+        )
+        total += w
+    assert total == optimum.weight
+
+
 @pytest.fixture
 def e1():
     return make_e1()

@@ -79,9 +79,10 @@ def reference_optimum(graph) -> tuple[int, tuple[int, ...]] | None:
     position = [size ** (size - 1 - i) for i in range(size)]
     cost = [[forbidden] * size for _ in range(size)]
     weights = {}
-    for li, rj, w in graph.edges():
-        cost[li][rj] = -w * scale + rj * position[li]
-        weights[(li, rj)] = w
+    for li, row in enumerate(graph.rows):
+        for rj, w in row.items():
+            cost[li][rj] = -w * scale + rj * position[li]
+            weights[(li, rj)] = w
     assignment = _solve_min_cost(cost)
     if any((li, rj) not in weights for li, rj in enumerate(assignment)):
         return None

@@ -11,7 +11,7 @@ from housealloc.fileio import (
     loads_allocation,
     loads_instance,
 )
-from housealloc.matching import UnbalancedGraph, UnknownVertex
+from housealloc.matching import UnbalancedGraph
 from housealloc.mechanisms import InfeasibleInput
 from housealloc.model import Allocation
 
@@ -176,7 +176,7 @@ def test_negative_report_size_is_input_error():
     assert main(["report", "--trials", "1", "--max-agents", "-1"]) == 2
 
 
-@pytest.mark.parametrize("fault", [UnbalancedGraph, UnknownVertex, InfeasibleInput, ValueError])
+@pytest.mark.parametrize("fault", [UnbalancedGraph, InfeasibleInput, ValueError])
 def test_internal_value_errors_are_internal_errors(monkeypatch, capsys, fault):
     # Solver and mechanism faults subclass ValueError, yet no input causes
     # them; they must not be reported as bad input.

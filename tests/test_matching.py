@@ -6,17 +6,13 @@ import pytest
 
 from housealloc.matching import (
     Matching,
-    OptimalMatching,
     UnbalancedGraph,
-    UnknownVertex,
     WeightedBipartiteGraph,
     max_weight_perfect_matching,
-    remove_zero_edges,
-    restore_edges,
 )
 from housealloc.mechanisms import Mechanism, build_graph
 from housealloc.rng import SplitMix64
-from conftest import has_perfect_matching
+from conftest import assert_certified, has_perfect_matching
 from reference_solver import reference_optimum
 
 
@@ -28,7 +24,7 @@ def brute_force_optimum(graph):
     for perm in itertools.permutations(range(size)):
         weight = 0
         for li, rj in enumerate(perm):
-            w = graph.weight(li, rj)
+            w = graph.rows[li].get(rj)
             if w is None:
                 break
             weight += w
@@ -39,12 +35,29 @@ def brute_force_optimum(graph):
 
 
 def graph_from_edges(n, edges):
-    g = WeightedBipartiteGraph(
-        tuple(f"l{i}" for i in range(n)), tuple(f"r{j}" for j in range(n))
-    )
+    rows = [{} for _ in range(n)]
     for li, rj, w in edges:
-        g.add_edge(li, rj, w)
-    return g
+        rows[li][rj] = w
+    return WeightedBipartiteGraph(
+        tuple(f"l{i}" for i in range(n)), tuple(f"r{j}" for j in range(n)), rows
+    )
+
+
+def lex_min(graph):
+    """The solver's optimum rotated to its lexicographically smallest form."""
+    optimum = max_weight_perfect_matching(graph)
+    return None if optimum is None else optimum.canonical()
+
+
+def snapshot(optimum):
+    return (
+        [dict(row) for row in optimum.graph.rows],
+        list(optimum.mate),
+        list(optimum.owner),
+        list(optimum.u),
+        list(optimum.v),
+        optimum.weight,
+    )
 
 
 def random_graph(rng, size, density):
@@ -58,9 +71,7 @@ def random_graph(rng, size, density):
 
 def test_unique_maximizer_2x2():
     g = graph_from_edges(2, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0)])
-    m = max_weight_perfect_matching(g)
-    assert m == Matching(assignment=(0, 1), weight=1)
-    assert m.pairs == ((0, 0), (1, 1))
+    assert lex_min(g) == Matching(assignment=(0, 1), weight=1)
 
 
 def test_hall_violation_detected():
@@ -72,12 +83,12 @@ def test_hall_violation_detected():
 
 def test_empty_graph_has_empty_perfect_matching():
     g = graph_from_edges(0, [])
-    assert max_weight_perfect_matching(g) == Matching(assignment=(), weight=0)
+    assert lex_min(g) == Matching(assignment=(), weight=0)
     assert has_perfect_matching(g)
 
 
 def test_unbalanced_graph_rejected():
-    g = WeightedBipartiteGraph(("l0",), ("r0", "r1"))
+    g = WeightedBipartiteGraph(("l0",), ("r0", "r1"), [{}])
     with pytest.raises(UnbalancedGraph):
         max_weight_perfect_matching(g)
     with pytest.raises(UnbalancedGraph):
@@ -99,54 +110,67 @@ def test_msir_graph_of_e1_weight(e1):
     g = build_graph(e1, Mechanism.MSIR)
     brute = brute_force_optimum(g)
     assert brute is not None and brute[0] == 5
-    solved = max_weight_perfect_matching(g)
+    solved = lex_min(g)
     assert solved is not None and solved.weight == 5
     assert solved.assignment == brute[1]
 
 
 def test_remove_zero_edges_counts():
-    g = graph_from_edges(3, [(0, 0, 0), (0, 1, 1), (0, 2, 0), (1, 1, 1), (2, 2, 1)])
-    delta = remove_zero_edges(g, 0)
-    assert len(delta.removed) == 2
-    assert g.weight(0, 0) is None and g.weight(0, 2) is None
-    assert g.weight(0, 1) == 1
+    g = graph_from_edges(3, [(0, 0, 0), (0, 1, 1), (0, 2, 0), (1, 0, 1), (2, 2, 1)])
+    optimum = max_weight_perfect_matching(g)
+    removed, weight, kept = optimum.drop_zero_edges(0, 3)
+    assert (removed, weight, kept) == ([0, 2], 3, True)
+    assert g.rows[0] == {1: 1}
 
 
 def test_remove_zero_edges_no_zero_edges():
     g = graph_from_edges(2, [(0, 0, 1), (1, 1, 1)])
-    delta = remove_zero_edges(g, 0)
-    assert delta.removed == ()
-
-
-def test_remove_zero_edges_unknown_vertex():
-    g = graph_from_edges(1, [(0, 0, 1)])
-    with pytest.raises(UnknownVertex):
-        remove_zero_edges(g, 5)
+    optimum = max_weight_perfect_matching(g)
+    assert optimum.drop_zero_edges(0, 2) == ([], 2, True)
 
 
 def test_remove_zero_edges_e1_agent4(e1):
     g = build_graph(e1, Mechanism.MSIR)
     li = list(g.left).index("4")
-    assert g.edges_of(li) == [(3, 0), (4, 1)]  # h4 weight 0, h5 weight 1
-    delta = remove_zero_edges(g, li)
-    assert [(rj, w) for _, rj, w in delta.removed] == [(3, 0)]
+    assert g.rows[li] == {3: 0, 4: 1}  # h4 weight 0, h5 weight 1
+    removed, _, _ = max_weight_perfect_matching(g).drop_zero_edges(li, 5)
+    assert removed == [3]
 
 
 def test_restore_is_exact_inverse():
     rng = SplitMix64(99)
-    for _ in range(100):
+    rejected = kept_count = 0
+    for _ in range(300):
         size = 1 + rng.bounded(5)
         g = random_graph(rng, size, 0.7)
-        before = g.copy()
-        best_before = max_weight_perfect_matching(g)
-        delta = remove_zero_edges(g, rng.bounded(size))
-        after_removal = max_weight_perfect_matching(g)
+        optimum = max_weight_perfect_matching(g)
+        if optimum is None:
+            continue
+        li = rng.bounded(size)
+        before = snapshot(optimum)
+        best_before = lex_min(g)
+        # asking for one more than the optimum forces a rejection
+        min_weight = optimum.weight + rng.bounded(2)
+        removed, weight, kept = optimum.drop_zero_edges(li, min_weight)
+        assert removed == sorted(rj for rj, w in before[0][li].items() if w == 0)
+        # the reported weight is the optimum of the graph without the edges
+        trimmed = graph_from_edges(size, [
+            (i, j, w) for i, row in enumerate(before[0]) for j, w in row.items()
+            if i != li or j not in removed
+        ])
+        after_removal = lex_min(trimmed)
+        assert weight == (None if after_removal is None else after_removal.weight)
         # removing edges never improves the optimum
-        if best_before is not None and after_removal is not None:
-            assert after_removal.weight <= best_before.weight
-        restore_edges(g, delta)
-        assert g == before
-        assert max_weight_perfect_matching(g) == best_before
+        assert weight is None or weight <= best_before.weight
+        if kept:
+            kept_count += 1
+            assert g.rows == trimmed.rows
+            assert_certified(optimum)
+        else:
+            rejected += 1
+            assert snapshot(optimum) == before
+            assert lex_min(g) == best_before
+    assert rejected and kept_count
 
 
 def test_solver_matches_brute_force_on_random_graphs():
@@ -156,7 +180,7 @@ def test_solver_matches_brute_force_on_random_graphs():
         size = rng.bounded(5)  # up to 4x4: 24 permutations each
         g = random_graph(rng, size, 0.4 + 0.5 * rng.float01())
         brute = brute_force_optimum(g)
-        solved = max_weight_perfect_matching(g)
+        solved = lex_min(g)
         if brute is None:
             assert solved is None
         else:
@@ -172,7 +196,7 @@ def test_solver_matches_brute_force_on_larger_graphs():
     for _ in range(30):
         g = random_graph(rng, 6, 0.6)  # 720 permutations
         brute = brute_force_optimum(g)
-        solved = max_weight_perfect_matching(g)
+        solved = lex_min(g)
         if brute is None:
             assert solved is None
         else:
@@ -186,26 +210,22 @@ def test_solver_matches_reference_and_certifies_itself():
     for _ in range(120):
         size = 5 + rng.bounded(8)
         g = random_graph(rng, size, 0.2 + 0.7 * rng.float01())
-        solved = max_weight_perfect_matching(g)
+        optimum = max_weight_perfect_matching(g)
         expected = reference_optimum(g)
         if expected is None:
-            assert solved is None
+            assert optimum is None
             continue
+        assert_certified(optimum)
+        solved = optimum.canonical()
         assert (solved.weight, solved.assignment) == expected
-        OptimalMatching.certified(g, solved)  # raises unless the duals prove it
+        assert_certified(optimum)  # the rotation keeps the duals' proof
 
 
 def test_determinism_pair_for_pair():
     rng = SplitMix64(7)
     for _ in range(50):
         g = random_graph(rng, 4, 0.8)
-        first = max_weight_perfect_matching(g.copy())
-        second = max_weight_perfect_matching(g.copy())
+        first = lex_min(g)
+        second = lex_min(g)
         assert first == second
 
-
-def test_duplicate_edge_with_conflicting_weight_rejected():
-    g = graph_from_edges(1, [(0, 0, 1)])
-    g.add_edge(0, 0, 1)  # same weight collapses silently
-    with pytest.raises(ValueError):
-        g.add_edge(0, 0, 0)

@@ -1,9 +1,8 @@
 import pytest
 
 from housealloc.gen import random_instance, trial_params
-from housealloc.matching import Matching, max_weight_perfect_matching
+from housealloc.matching import Matching, OptimalMatching, max_weight_perfect_matching
 from housealloc.mechanisms import (
-    InfeasibleInput,
     Mechanism,
     PermutationError,
     PermutationPolicy,
@@ -18,13 +17,15 @@ from conftest import has_perfect_matching
 
 def labelled_edges(graph):
     return {
-        (graph.left[li], graph.right[rj], w) for li, rj, w in graph.edges()
+        (graph.left[li], graph.right[rj], w)
+        for li, row in enumerate(graph.rows)
+        for rj, w in row.items()
     }
 
 
 def edges_of_agent(graph, agent):
     li = list(graph.left).index(agent)
-    return {(graph.right[rj], w) for rj, w in graph.edges_of(li)}
+    return {(graph.right[rj], w) for rj, w in graph.rows[li].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +143,6 @@ def test_refinement_all_weight_one_removes_nothing():
     assert all(r.removed == () for r in rounds)
 
 
-def test_refinement_rejects_unreachable_target(e2):
-    g = build_graph(e2, Mechanism.MSIR)
-    optimum = max_weight_perfect_matching(g)
-    with pytest.raises(InfeasibleInput):
-        serial_refinement(g, ("1", "2"), Matching(optimum.assignment, 5, optimum.duals))
-    # a matching without duals proving it optimal is refused as well
-    with pytest.raises(InfeasibleInput):
-        serial_refinement(g, ("1", "2"), Matching(optimum.assignment, 0))
-
-
 def test_run_solves_from_scratch_once(monkeypatch):
     from housealloc import mechanisms
 
@@ -162,6 +153,25 @@ def test_run_solves_from_scratch_once(monkeypatch):
         return max_weight_perfect_matching(graph)
 
     monkeypatch.setattr(mechanisms, "max_weight_perfect_matching", counting)
+    for trial in range(40):
+        inst = random_instance(trial_params(13, trial, 7, 7))
+        for mech in Mechanism:
+            calls.clear()
+            run_mechanism(inst, mech)
+            assert len(calls) == 1
+
+
+def test_run_rotates_to_lex_min_once(monkeypatch):
+    # the lex-min optimum is read once, from the final duals; the solver's
+    # first optimum goes into the refinement as it is
+    calls = []
+    canonical = OptimalMatching.canonical
+
+    def counting(self):
+        calls.append(self)
+        return canonical(self)
+
+    monkeypatch.setattr(OptimalMatching, "canonical", counting)
     for trial in range(40):
         inst = random_instance(trial_params(13, trial, 7, 7))
         for mech in Mechanism:

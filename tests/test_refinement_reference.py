@@ -4,7 +4,8 @@ The reference loop is the refinement as the paper states it: per agent,
 delete its weight-0 edges, re-solve the whole graph with the dense
 reference solver (``tests/reference_solver.py``), keep the deletion iff the
 weight W survives.  Every round record and the final assignment must equal
-what the mechanism's warm-started refinement reports.
+what the mechanism's warm-started refinement reports, and the duals it
+carried must still prove its final matching optimal on the refined graph.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import pytest
 
 from housealloc.gen import random_instance, trial_params
-from housealloc.matching import max_weight_perfect_matching, remove_zero_edges, restore_edges
+from housealloc.matching import max_weight_perfect_matching
 from housealloc.mechanisms import (
     Mechanism,
     PermutationPolicy,
     build_graph,
     serial_refinement,
 )
+from conftest import assert_certified
 from reference_solver import reference_optimum
 
 
@@ -28,13 +30,16 @@ def reference_refinement(graph, permutation):
     index = {label: i for i, label in enumerate(graph.left)}
     rounds = []
     for agent in permutation:
-        delta = remove_zero_edges(graph, index[agent])
+        row = graph.rows[index[agent]]
+        removed = sorted(rj for rj, w in row.items() if w == 0)
+        for rj in removed:
+            del row[rj]
         solved = reference_optimum(graph)
         weight = None if solved is None else solved[0]
         accepted = weight is not None and weight >= target
         if not accepted:
-            restore_edges(graph, delta)
-        removed = tuple(graph.right[rj] for _, rj, _ in delta.removed)
+            row.update(dict.fromkeys(removed, 0))
+        removed = tuple(graph.right[rj] for rj in removed)
         rounds.append((agent, removed, weight, accepted))
     final = reference_optimum(graph)
     assert final is not None and final[0] == target
@@ -67,11 +72,13 @@ def test_every_round_equals_reference_re_solve(mech):
             build_graph(instance, mech), permutation
         )
         graph = build_graph(instance, mech)
-        initial = max_weight_perfect_matching(graph)
-        final, flags, rounds = serial_refinement(graph, permutation, initial)
+        optimum = max_weight_perfect_matching(graph)
+        final, flags, rounds = serial_refinement(graph, permutation, optimum)
         got = [(r.agent, r.removed, r.weight, r.accepted) for r in rounds]
         assert got == expected_rounds, (instance, policy)
         assert final.assignment == expected_final
+        assert final.assignment == tuple(optimum.mate)
+        assert_certified(optimum)
         assert flags == {r[0]: int(r[3]) for r in expected_rounds}
         checked += 1
     assert checked == 320
