@@ -24,7 +24,6 @@ from .oracles import (
     is_sir,
     is_strict_core_stable,
     max_welfare,
-    max_welfare_subject_to,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "is_sir",
     "is_strict_core_stable",
     "max_welfare",
-    "max_welfare_subject_to",
     "random_instance",
     "run_mechanism",
     "utility",

@@ -51,15 +51,21 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _parse_seed(text: str, flag: str, error: type[ValueError]) -> int:
+    """A seed written in decimal digits only, below 2^64: the generator keeps
+    64 bits, so any other value would silently stand for another seed."""
+    if not (text.isascii() and text.isdigit() and len(text) <= 20) or int(text) >= 1 << 64:
+        raise error(f"{flag} must be a decimal integer in [0, 2^64), got {text!r}")
+    return int(text)
+
+
 def _parse_permutation(spec: str) -> PermutationPolicy:
     if spec == "identity":
         return PermutationPolicy.identity()
     if spec.startswith("seed:"):
-        try:
-            seed = int(spec[len("seed:"):], 10)
-        except ValueError:
-            raise PermutationError(f"bad seed in --permutation {spec!r}") from None
-        return PermutationPolicy.seeded(seed)
+        return PermutationPolicy.seeded(
+            _parse_seed(spec[len("seed:"):], "--permutation seed", PermutationError)
+        )
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         try:
@@ -146,7 +152,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         houses=args.houses,
         endow_prob=args.endow_prob,
         accept_prob=args.accept_prob,
-        seed=args.seed,
+        seed=_parse_seed(args.seed, "--seed", InvalidParams),
     )
     instance = random_instance(params)
     _write_text(args.output, fileio.dumps_instance(instance))
@@ -167,7 +173,7 @@ def _report_checks(
     checks["sir"] = (bad_sir is None, bad_sir)
     bad_ir = oracles.ir_violation(instance, alloc)
     checks["ir"] = (bad_ir is None, bad_ir)
-    core = oracles.is_core_stable(instance, alloc, budget)
+    core = oracles.is_core_stable(instance, alloc)
     checks["core"] = (core.holds, core.witness)
     po = oracles.is_pareto_optimal(instance, alloc, budget, method="certificate")
     checks["po"] = (po.holds, po.witness)
@@ -184,6 +190,9 @@ def _report_checks(
 def cmd_report(args: argparse.Namespace) -> int:
     if args.max_agents < 0 or args.max_houses < 0:
         raise InvalidParams("--max-agents and --max-houses must be non-negative")
+    if args.trials < 1:
+        raise InvalidParams(f"--trials must be at least 1, got {args.trials}")
+    seed = _parse_seed(args.seed, "--seed", InvalidParams)
     budget = SizeBudget.from_env()
     if args.max_agents > budget.max_alloc_agents or args.max_houses > budget.max_alloc_houses:
         raise BudgetExceeded(
@@ -202,7 +211,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     for trial in range(args.trials):
-        params = trial_params(args.seed, trial, args.max_agents, args.max_houses)
+        params = trial_params(seed, trial, args.max_agents, args.max_houses)
         instance = random_instance(params)
         maxima = oracles.welfare_maxima(instance, budget)
         for mech in mechanisms:
@@ -222,13 +231,13 @@ def cmd_report(args: argparse.Namespace) -> int:
                         "witness": witness,
                     }
 
-    print(f"trials={args.trials} seed={args.seed} "
+    print(f"trials={args.trials} seed={seed} "
           f"max_agents={args.max_agents} max_houses={args.max_houses}")
     width = max(len(p) for p in properties)
     print(f"{'property'.ljust(width)}  {'msir':>8}  {'mir':>8}")
     for prop in properties:
         cells = [
-            f"{100.0 * passes[mech][prop] / max(args.trials, 1):.1f}%"
+            f"{100.0 * passes[mech][prop] / args.trials:.1f}%"
             for mech in mechanisms
         ]
         print(f"{prop.ljust(width)}  {cells[0]:>8}  {cells[1]:>8}")
@@ -297,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--houses", type=int, required=True)
     p_gen.add_argument("--endow-prob", type=float, required=True)
     p_gen.add_argument("--accept-prob", type=float, required=True)
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--seed", required=True, help="integer in [0, 2^64)")
     p_gen.add_argument("--output", default="-", help="output path, - for stdout")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="empirical property table over random instances"
     )
     p_report.add_argument("--trials", type=int, default=1000)
-    p_report.add_argument("--seed", type=int, default=0)
+    p_report.add_argument("--seed", default="0", help="integer in [0, 2^64)")
     p_report.add_argument("--max-agents", type=int, default=6)
     p_report.add_argument("--max-houses", type=int, default=6)
     p_report.add_argument("--sp", choices=["on", "off"], default="off",

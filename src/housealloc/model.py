@@ -76,10 +76,6 @@ class Instance:
     def endowment_of(self, agent: str) -> str | None:
         return self.endowment.get(agent)
 
-    def has_acceptable_endowment(self, agent: str) -> bool:
-        own = self.endowment.get(agent)
-        return own is not None and own in self.acceptable[agent]
-
 
 @dataclass(frozen=True, eq=True)
 class Allocation:

@@ -2,15 +2,21 @@
 
 Everything here is deliberately independent of the matching solver the
 mechanisms run on: welfare maxima come from exhaustive enumeration of
-injective partial assignments, and the maximum welfare and the
-feasibility questions inside the searches come from one augmenting-path
-matcher of its own (Kuhn's, with an explicit stack, so its depth is not
-bounded by the interpreter's recursion limit).  Every negative verdict
-carries a witness that a standalone checker can re-validate without
-re-running the search that found it.
+injective partial assignments, and the maximum welfare, the Pareto
+certificate and the core and strict-core searches come from one
+augmenting-path matcher of its own (Kuhn's, with an explicit stack, so its
+depth is not bounded by the interpreter's recursion limit).  Every
+negative verdict carries a witness that a standalone checker can
+re-validate without re-running the search that found it.
 
-Brute-force searches are bounded by a :class:`SizeBudget`; exceeding a
-budget raises :class:`BudgetExceeded` rather than silently truncating.
+The core searches are polynomial yet return the witness an enumeration of
+every coalition would: the blocking coalition with the smallest bit mask
+over the candidate agents in agent order (bit i is the i-th candidate),
+found bit by bit from the top with one matching per step.
+
+The remaining brute-force searches are bounded by a :class:`SizeBudget`;
+exceeding a budget raises :class:`BudgetExceeded` rather than silently
+truncating.
 """
 
 from __future__ import annotations
@@ -47,20 +53,18 @@ class OracleDisagreement(RuntimeError):
 class SizeBudget:
     """Limits for the exhaustive searches.
 
-    ``max_alloc_*`` bound allocation enumeration, ``max_coalition_agents``
-    bounds the subset search for (weakly) blocking coalitions, and
-    ``max_misreport_houses`` bounds the 2^m report sweep per agent.
+    ``max_alloc_*`` bound allocation enumeration and ``max_misreport_houses``
+    bounds the 2^m report sweep per agent.  The core and strict-core
+    searches are polynomial and take no budget.
     """
 
     max_alloc_agents: int = 8
     max_alloc_houses: int = 8
-    max_coalition_agents: int = 12
     max_misreport_houses: int = 6
 
     _ENV_FIELDS = {
         "max_alloc_agents": "HOUSEALLOC_MAX_ALLOC_AGENTS",
         "max_alloc_houses": "HOUSEALLOC_MAX_ALLOC_HOUSES",
-        "max_coalition_agents": "HOUSEALLOC_MAX_COALITION_AGENTS",
         "max_misreport_houses": "HOUSEALLOC_MAX_MISREPORT_HOUSES",
     }
 
@@ -205,22 +209,23 @@ def _kuhn(adj: list[list[int]], n_right: int) -> list[int]:
     vertex, or -1 if it stays unmatched.
 
     Left vertices are rooted in index order and ``adj[i]`` is scanned in the
-    order given, each root with a fresh ``seen`` array, so the result is
+    order given, each root seeing every right vertex afresh (``seen[j] ==
+    root`` marks the ones its search visited), so the result is
     deterministic.  The depth-first search keeps its own stack: ``stack``
     holds the left vertices on the current alternating path with the next
     position to scan in each row, ``path`` the right vertex taken from each
     but the last.
     """
     match_right = [-1] * n_right
+    seen = [-1] * n_right
     for root in range(len(adj)):
-        seen = [False] * n_right
         stack = [[root, 0]]
         path: list[int] = []
         while stack:
             frame = stack[-1]
             i, pos = frame
             row = adj[i]
-            while pos < len(row) and seen[row[pos]]:
+            while pos < len(row) and seen[row[pos]] == root:
                 pos += 1
             if pos == len(row):  # i has no augmenting path left
                 stack.pop()
@@ -229,7 +234,7 @@ def _kuhn(adj: list[list[int]], n_right: int) -> list[int]:
                 continue
             j = row[pos]
             frame[1] = pos + 1
-            seen[j] = True
+            seen[j] = root
             path.append(j)
             if match_right[j] == -1:  # augment along the whole path
                 for (li, _), rj in zip(stack, path):
@@ -345,17 +350,6 @@ def welfare_maxima(instance: Instance, budget: SizeBudget | None = None) -> Welf
         ir_argmax=to_allocation(argmax[1]),
         sir_argmax=to_allocation(argmax[2]),
     )
-
-
-def max_welfare_subject_to(
-    instance: Instance, constraint: str, budget: SizeBudget | None = None
-) -> int:
-    """Brute-force maximum welfare subject to "none", "ir" or "sir"."""
-    maxima = welfare_maxima(instance, budget)
-    try:
-        return {"none": maxima.unconstrained, "ir": maxima.ir, "sir": maxima.sir}[constraint]
-    except KeyError:
-        raise ValueError(f"unknown constraint {constraint!r}") from None
 
 
 def max_welfare(instance: Instance) -> int:
@@ -497,120 +491,94 @@ def _po_brute(
 # Core and strict core
 
 
-def is_core_stable(
-    instance: Instance,
-    allocation: Allocation,
-    budget: SizeBudget | None = None,
-    exhaustive: bool = False,
-) -> Verdict:
+def is_core_stable(instance: Instance, allocation: Allocation) -> Verdict:
     """No coalition can strictly improve all members trading only its own
-    endowments.
-
-    The default search restricts candidates to endowed, currently
-    unsatisfied agents (satisfied agents cannot strictly improve and
-    unendowed agents bring no house to trade); ``exhaustive=True`` scans
-    every subset of agents instead, for cross-validation.
-    """
+    endowments.  The candidates are the endowed, unsatisfied agents; the
+    witness is the blocking coalition with the smallest bit mask over them
+    in agent order, with the trade :func:`_first_blocking` gives it."""
     validate_allocation(instance, allocation)
-    budget = budget or SizeBudget.from_env()
     sat = satisfied_set(instance, allocation)
-    if exhaustive:
-        base = list(instance.agents)
-    else:
-        base = [a for a in instance.agents if a in instance.endowment and a not in sat]
-    if len(base) > budget.max_coalition_agents:
-        raise BudgetExceeded(
-            f"coalition search over {len(base)} agents exceeds the budget "
-            f"of {budget.max_coalition_agents}"
-        )
-    for mask in range(1, 1 << len(base)):
-        members = [base[b] for b in range(len(base)) if (mask >> b) & 1]
-        witness = _find_strict_trade(instance, sat, members)
-        if witness is not None:
-            return Verdict(False, witness)
-    return Verdict(True)
+    base = [a for a in instance.agents if a in instance.endowment and a not in sat]
+    found = _first_blocking(instance, base, frozenset(base), [None])
+    return Verdict(True) if found is None else Verdict(False, BlockingWitness(*found[:2]))
 
 
-def _find_strict_trade(
-    instance: Instance, sat: frozenset[str], members: list[str]
-) -> BlockingWitness | None:
-    pool = [instance.endowment[a] for a in members if a in instance.endowment]
-    if len(pool) < len(members):
-        return None  # someone has nothing to contribute
-    adj: list[list[int]] = []
-    for a in members:
-        if a in sat:
-            return None  # cannot strictly improve a satisfied agent
-        options = [p for p, h in enumerate(pool) if h in instance.acceptable[a]]
-        if not options:
-            return None
-        adj.append(options)
-    matched = _kuhn(adj, len(pool))
-    if -1 in matched:
-        return None
-    return BlockingWitness(
-        coalition=tuple(members),
-        reallocation={a: pool[matched[i]] for i, a in enumerate(members)},
-    )
-
-
-def is_strict_core_stable(
-    instance: Instance,
-    allocation: Allocation,
-    budget: SizeBudget | None = None,
-    exhaustive: bool = False,
-) -> Verdict:
+def is_strict_core_stable(instance: Instance, allocation: Allocation) -> Verdict:
     """No coalition trade leaves all members weakly better and one strictly.
-
-    Candidate coalitions are subsets of endowed agents (every member must
-    receive a house from inside the coalition); each candidate is tested
-    once per potential strict gainer.
-    """
+    The candidates are the endowed agents; the witness is the weakly
+    blocking coalition with the smallest bit mask over them in agent order,
+    its first unsatisfied member that can gain, and the trade for it."""
     validate_allocation(instance, allocation)
-    budget = budget or SizeBudget.from_env()
     sat = satisfied_set(instance, allocation)
-    if exhaustive:
-        base = list(instance.agents)
-    else:
-        base = [a for a in instance.agents if a in instance.endowment]
-    if len(base) > budget.max_coalition_agents:
-        raise BudgetExceeded(
-            f"coalition search over {len(base)} agents exceeds the budget "
-            f"of {budget.max_coalition_agents}"
+    base = [a for a in instance.agents if a in instance.endowment]
+    found = _first_blocking(instance, base, sat, [a for a in base if a not in sat])
+    return Verdict(True) if found is None else Verdict(False, WeakBlockingWitness(*found))
+
+
+def _first_blocking(
+    instance: Instance, base: list[str], choosy: frozenset[str], winners: list[str | None]
+) -> tuple[tuple[str, ...], dict[str, str], str | None] | None:
+    """(members, reallocation, winner) of the blocking coalition of ``base``
+    with the smallest bit mask (bit i is ``base[i]``), or None.
+
+    S blocks with winner w (from ``winners``; None asks for none) when its
+    endowments can be reassigned so that its ``choosy`` members and w get
+    acceptable houses.  ``exists(forced, allowed)`` asks whether a blocking
+    S with forced <= S <= allowed exists.  The top member is the least t
+    with ``exists({t}, base[0..t])``; each lower bit stays clear while a
+    coalition still exists without it.  The trade is the one the ascending
+    enumeration stops at: no sit-outs, winners tried in member order.
+    """
+    pool = [instance.endowment[a] for a in base]
+    likes = [[j for j, h in enumerate(pool) if h in instance.acceptable[a]] for a in base]
+    picky = [a in choosy for a in base]
+    can_win = set(winners)
+    gains = [a in can_win for a in base]
+    need_gain = None not in can_win
+
+    def exists(forced: set[int], allowed: list[int]) -> bool:
+        # Choosy members are rooted first and take an acceptable house or,
+        # unforced, sit out on their own; then the would-be winners.  Kuhn
+        # never unmatches a left vertex, so S exists iff every choosy member
+        # and, if needed, one winner is matched; the rest take what is left.
+        at = {b: p for p, b in enumerate(allowed)}
+        keep = [b for b in allowed if picky[b]]
+        adj = [
+            ([] if b in forced else [at[b]]) + [at[j] for j in likes[b] if j in at] for b in keep
+        ]
+        adj += [[at[j] for j in likes[b] if j in at] for b in allowed if gains[b]]
+        matched = _kuhn(adj, len(allowed))
+        return -1 not in matched[: len(keep)] and (
+            not need_gain or any(j != -1 for j in matched[len(keep):])
         )
-    for mask in range(1, 1 << len(base)):
-        members = [base[b] for b in range(len(base)) if (mask >> b) & 1]
-        pool = [instance.endowment[a] for a in members if a in instance.endowment]
-        if len(pool) < len(members):
+
+    if need_gain and not exists(set(), list(range(len(base)))):
+        return None  # no winner gains even with every agent allowed
+    top = next((t for t in range(len(base)) if exists({t}, list(range(t + 1)))), None)
+    if top is None:
+        return None
+    forced, allowed = {top}, list(range(top + 1))
+    for b in range(top - 1, -1, -1):
+        rest = [x for x in allowed if x != b]
+        if exists(forced, rest):
+            allowed = rest
+        else:
+            forced.add(b)
+    members = tuple(base[b] for b in allowed)
+    houses = [pool[b] for b in allowed]
+    for w in winners:
+        if w is not None and w not in members:
             continue
-        for winner in members:
-            if winner in sat:
-                continue
-            adj: list[list[int]] = []
-            feasible = True
-            for a in members:
-                if a == winner or a in sat:
-                    options = [p for p, h in enumerate(pool) if h in instance.acceptable[a]]
-                else:
-                    options = list(range(len(pool)))
-                if not options:
-                    feasible = False
-                    break
-                adj.append(options)
-            if not feasible:
-                continue
-            matched = _kuhn(adj, len(pool))
-            if -1 in matched:
-                continue
-            return Verdict(
-                False,
-                WeakBlockingWitness(
-                    coalition=tuple(members),
-                    reallocation={a: pool[matched[i]] for i, a in enumerate(members)},
-                    improving_agent=winner,
-                ),
-            )
-    return Verdict(True)
+        adj = [
+            [p for p, h in enumerate(houses) if h in instance.acceptable[a]]
+            if a in choosy or a == w
+            else list(range(len(houses)))
+            for a in members
+        ]
+        matched = _kuhn(adj, len(houses))
+        if -1 not in matched:
+            return members, {a: houses[matched[i]] for i, a in enumerate(members)}, w
+    raise AssertionError("the coalition search lost its blocking coalition")
 
 
 # --------------------------------------------------------------------------
@@ -838,9 +806,9 @@ def evaluate_properties(
         elif key == "po":
             verdicts[key] = is_pareto_optimal(instance, allocation, budget)
         elif key == "core":
-            verdicts[key] = is_core_stable(instance, allocation, budget)
+            verdicts[key] = is_core_stable(instance, allocation)
         elif key == "strict-core":
-            verdicts[key] = is_strict_core_stable(instance, allocation, budget)
+            verdicts[key] = is_strict_core_stable(instance, allocation)
         elif key == "maxw":
             target, exemplar = max_welfare_allocation(instance)
             achieved = welfare(instance, allocation)

@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 
 from housealloc.matching import max_weight_perfect_matching
-from housealloc.model import validate_instance
+from housealloc.model import Allocation, validate_instance
+from housealloc.rng import SplitMix64
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,6 +48,23 @@ def make_e3():
 def has_perfect_matching(graph):
     """True iff a perfect matching exists; edge weights are irrelevant."""
     return max_weight_perfect_matching(graph) is not None
+
+
+def random_allocation(inst, salt):
+    """A seeded random allocation: each agent in turn takes the next house
+    of a shuffled list with probability 0.6."""
+    rng = SplitMix64(salt * 2654435761 + 17)
+    houses = list(inst.houses)
+    rng.shuffle(houses)
+    assignment = {}
+    k = 0
+    for a in inst.agents:
+        if k < len(houses) and rng.bernoulli(0.6):
+            assignment[a] = houses[k]
+            k += 1
+        else:
+            assignment[a] = None
+    return Allocation(assignment)
 
 
 def assert_certified(optimum):

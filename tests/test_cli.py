@@ -176,6 +176,52 @@ def test_negative_report_size_is_input_error():
     assert main(["report", "--trials", "1", "--max-agents", "-1"]) == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_report_without_trials_is_input_error(trials, capsys):
+    # a table of 0.0% cells would read as every property failing
+    assert main(["report", "--trials", trials]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+# -1 and 2^64 would alias 2^64 - 1 and 0; the rest are not plain digits
+BAD_SEEDS = [
+    pytest.param(text, id=name)
+    for name, text in [("minus-one", "-1"), ("two-to-64", "18446744073709551616"),
+                       ("plus", "+3"), ("space", " 3"), ("underscore", "1_000"),
+                       ("empty", ""), ("5000-digits", "9" * 5000)]
+]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_bad_permutation_seed_is_input_error(seed):
+    assert main(["run", str(FIXTURES / "e2.json"), "--mechanism", "msir",
+                 "--permutation", f"seed:{seed}"]) == 2
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_bad_gen_seed_is_input_error(seed, tmp_path):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--agents", "2", "--houses", "2", "--endow-prob", "0.5",
+                 "--accept-prob", "0.5", "--seed", seed, "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_bad_report_seed_is_input_error(seed, tmp_path):
+    assert main(["report", "--trials", "1", "--seed", seed,
+                 "--out-dir", str(tmp_path / "cx")]) == 2
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    top = str((1 << 64) - 1)
+    assert main(["run", str(FIXTURES / "e2.json"), "--mechanism", "msir",
+                 "--permutation", f"seed:{top}", "--output", str(tmp_path / "a.json")]) == 0
+    assert main(["gen", "--agents", "2", "--houses", "2", "--endow-prob", "0.5",
+                 "--accept-prob", "0.5", "--seed", top, "--output", str(tmp_path / "i.json")]) == 0
+    assert main(["report", "--trials", "1", "--seed", top, "--max-agents", "2",
+                 "--max-houses", "2", "--out-dir", str(tmp_path / "cx")]) == 0
+
+
 @pytest.mark.parametrize("fault", [UnbalancedGraph, InfeasibleInput, ValueError])
 def test_internal_value_errors_are_internal_errors(monkeypatch, capsys, fault):
     # Solver and mechanism faults subclass ValueError, yet no input causes

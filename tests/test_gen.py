@@ -100,7 +100,7 @@ def test_trial_params_cover_all_regimes():
             seen["unowned"] = True
         if any(not s for s in inst.acceptable.values()):
             seen["empty_acc"] = True
-        if any(inst.has_acceptable_endowment(a) for a in inst.agents):
+        if any(h in inst.acceptable[a] for a, h in inst.endowment.items()):
             seen["acceptable_endowment"] = True
     assert all(seen.values()), seen
 

@@ -197,7 +197,7 @@ def test_run_msir_e1(e1):
     assert result.allocation.house_of("4") == "h5"
     assert result.allocation.house_of("5") == "h6"
     # welfare 5 equals the brute-force S-IR maximum
-    assert oracles.max_welfare_subject_to(e1, "sir") == 5
+    assert oracles.welfare_maxima(e1).sir == 5
 
 
 def test_run_msir_e2_returns_endowment(e2):
@@ -218,7 +218,7 @@ def test_run_msir_e3(e3):
         "1": "h2", "2": "h1", "3": "h3", "4": "h4"
     }
     assert result.trace.initial_weight == 2
-    assert oracles.max_welfare_subject_to(e3, "sir") == 2
+    assert oracles.welfare_maxima(e3).sir == 2
 
 
 def test_run_empty_instance():

@@ -16,13 +16,14 @@ from housealloc.oracles import (
     is_sir,
     is_strict_core_stable,
     max_welfare,
-    max_welfare_subject_to,
     verify_blocking_witness,
     verify_domination_witness,
     verify_manipulation_witness,
     verify_weak_blocking_witness,
     welfare_maxima,
 )
+from conftest import random_allocation
+import reference_core
 
 X_E1 = Allocation({"1": "h2", "2": "h3", "3": "h1", "4": "h4", "5": "h5"})
 Y_E1 = Allocation({"1": "h2", "2": "h3", "3": "h1", "4": "h5", "5": "h6"})
@@ -97,27 +98,10 @@ def test_po_brute_budget():
 def test_po_routes_agree_on_random_pairs():
     for trial in range(200):
         inst = random_instance(trial_params(12345, trial, 5, 5))
-        alloc = _random_allocation(inst, trial)
+        alloc = random_allocation(inst, trial)
         brute = is_pareto_optimal(inst, alloc, method="brute")
         cert = is_pareto_optimal(inst, alloc, method="certificate")
         assert brute.holds == cert.holds
-
-
-def _random_allocation(inst, salt):
-    from housealloc.rng import SplitMix64
-
-    rng = SplitMix64(salt * 2654435761 + 17)
-    houses = list(inst.houses)
-    rng.shuffle(houses)
-    assignment = {}
-    k = 0
-    for a in inst.agents:
-        if k < len(houses) and rng.bernoulli(0.6):
-            assignment[a] = houses[k]
-            k += 1
-        else:
-            assignment[a] = None
-    return Allocation(assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +115,7 @@ def test_core_examples(e3):
     assert verify_blocking_witness(e3, Z_E3, verdict.witness)
     msir_out = run_mechanism(e3, Mechanism.MSIR).allocation
     assert is_core_stable(e3, msir_out).holds
-    assert is_core_stable(e3, msir_out, exhaustive=True).holds
+    assert reference_core.is_core_stable(e3, msir_out, exhaustive=True).holds
 
 
 def test_core_trivially_stable_when_all_endowed_satisfied(e1):
@@ -177,10 +161,10 @@ def test_strict_core_catches_weak_blocks_core_misses():
 def test_core_pruned_agrees_with_exhaustive():
     for trial in range(120):
         inst = random_instance(trial_params(31337, trial, 5, 5))
-        alloc = _random_allocation(inst, trial)
+        alloc = random_allocation(inst, trial)
         pruned = is_core_stable(inst, alloc)
-        full = is_core_stable(inst, alloc, exhaustive=True)
-        assert pruned.holds == full.holds
+        full = reference_core.is_core_stable(inst, alloc, exhaustive=True)
+        assert pruned == full
         for verdict in (pruned, full):
             if not verdict.holds:
                 assert verify_blocking_witness(inst, alloc, verdict.witness)
@@ -189,19 +173,21 @@ def test_core_pruned_agrees_with_exhaustive():
 def test_strict_core_pruned_agrees_with_exhaustive():
     for trial in range(60):
         inst = random_instance(trial_params(4242, trial, 4, 4))
-        alloc = _random_allocation(inst, trial)
+        alloc = random_allocation(inst, trial)
         pruned = is_strict_core_stable(inst, alloc)
-        full = is_strict_core_stable(inst, alloc, exhaustive=True)
-        assert pruned.holds == full.holds
+        full = reference_core.is_strict_core_stable(inst, alloc, exhaustive=True)
+        assert pruned == full
         if not pruned.holds:
             assert verify_weak_blocking_witness(inst, alloc, pruned.witness)
 
 
 def test_core_budget():
+    # 13 candidates, past the old 12-agent coalition budget: answered now
     inst = random_instance(GenParams(13, 13, 1.0, 0.0, 5))
     alloc = Allocation({a: None for a in inst.agents})
-    with pytest.raises(BudgetExceeded):
-        is_core_stable(inst, alloc)
+    verdict = is_core_stable(inst, alloc)
+    assert verdict == reference_core.is_core_stable(inst, alloc)
+    assert is_strict_core_stable(inst, alloc) == reference_core.is_strict_core_stable(inst, alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +201,12 @@ def test_max_welfare_examples(e1, e2):
     assert max_welfare(empty_prefs) == 0
 
 
-def test_max_welfare_subject_to_examples(e1, e2, e3):
-    assert max_welfare_subject_to(e2, "sir") == 0
-    assert max_welfare_subject_to(e2, "ir") == 1
-    assert max_welfare_subject_to(e1, "sir") == 5
-    assert max_welfare_subject_to(e3, "ir") == 2
-    assert max_welfare_subject_to(e3, "none") == 2
-    with pytest.raises(ValueError):
-        max_welfare_subject_to(e3, "bogus")
+def test_welfare_maxima_examples(e1, e2, e3):
+    assert welfare_maxima(e2).sir == 0
+    assert welfare_maxima(e2).ir == 1
+    assert welfare_maxima(e1).sir == 5
+    assert welfare_maxima(e3).ir == 2
+    assert welfare_maxima(e3).unconstrained == 2
 
 
 def test_welfare_maxima_budget():
@@ -251,7 +235,7 @@ def test_sir_welfare_maximality_implies_core_stability():
     # every S-IR allocation attaining the S-IR maximum is core stable
     for trial in range(40):
         inst = random_instance(trial_params(2718, trial, 4, 4))
-        target = max_welfare_subject_to(inst, "sir")
+        target = welfare_maxima(inst).sir
         for alloc in all_allocations(inst):
             if is_sir(inst, alloc) and welfare(inst, alloc) == target:
                 assert is_core_stable(inst, alloc).holds
@@ -260,7 +244,7 @@ def test_sir_welfare_maximality_implies_core_stability():
 def test_ir_welfare_lemma():
     for trial in range(80):
         inst = random_instance(trial_params(1618, trial, 5, 5))
-        assert max_welfare_subject_to(inst, "ir") == max_welfare(inst)
+        assert welfare_maxima(inst).ir == max_welfare(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +377,5 @@ def test_welfare_gap_witness_re_verifies(e2):
 
 def test_budget_from_env(monkeypatch):
     monkeypatch.setenv("HOUSEALLOC_MAX_ALLOC_AGENTS", "4")
-    monkeypatch.setenv("HOUSEALLOC_MAX_COALITION_AGENTS", "3")
     budget = SizeBudget.from_env()
-    assert budget.max_alloc_agents == 4
-    assert budget.max_coalition_agents == 3
-    assert budget.max_alloc_houses == 8
-    assert budget.max_misreport_houses == 6
+    assert budget == SizeBudget(max_alloc_agents=4, max_alloc_houses=8, max_misreport_houses=6)

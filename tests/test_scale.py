@@ -49,6 +49,8 @@ def test_1500_agent_chain(mechanism, tmp_path):
     inst.write_text(dumps_instance(instance))
     alloc.write_text(dumps_allocation(instance, result.allocation, result.trace))
     assert main(["verify", str(inst), str(alloc), "--properties", "ir,sir,po,maxw"]) == 0
+    # 1,500 coalition candidates: far past any enumeration
+    assert main(["verify", str(inst), str(alloc), "--properties", "core,strict-core"]) == 0
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
@@ -59,3 +61,8 @@ def test_seeded_200_agent_market(mechanism, accept_prob):
     check_postconditions(instance, mechanism, result)
     if mechanism is Mechanism.MIR:
         assert result.trace.initial_weight == oracles.max_welfare(instance)
+    else:  # the paper's core claim for MSIR, at scale
+        assert oracles.is_core_stable(instance, result.allocation).holds
+    strict = oracles.is_strict_core_stable(instance, result.allocation)
+    if not strict.holds:
+        assert oracles.verify_weak_blocking_witness(instance, result.allocation, strict.witness)
