@@ -160,10 +160,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _report_checks(
-    instance: Instance,
-    result: MechanismResult,
-    maxima: oracles.WelfareMaxima,
-    budget: SizeBudget,
+    instance: Instance, result: MechanismResult, maxima: oracles.WelfareMaxima
 ) -> dict[str, tuple[bool, object]]:
     """Per-property (holds, witness) pairs for one mechanism run."""
     alloc = result.allocation
@@ -175,7 +172,7 @@ def _report_checks(
     checks["ir"] = (bad_ir is None, bad_ir)
     core = oracles.is_core_stable(instance, alloc)
     checks["core"] = (core.holds, core.witness)
-    po = oracles.is_pareto_optimal(instance, alloc, budget, method="certificate")
+    po = oracles.is_pareto_optimal(instance, alloc)
     checks["po"] = (po.holds, po.witness)
     for key, target, exemplar in (
         ("maxw-sir", maxima.sir, maxima.sir_argmax),
@@ -216,7 +213,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         maxima = oracles.welfare_maxima(instance, budget)
         for mech in mechanisms:
             result = run_mechanism(instance, mech)
-            checks = _report_checks(instance, result, maxima, budget)
+            checks = _report_checks(instance, result, maxima)
             if include_sp:
                 manipulation = oracles.check_strategyproofness(instance, mech, budget=budget)
                 checks["sp"] = (manipulation is None, manipulation)

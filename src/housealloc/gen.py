@@ -41,6 +41,10 @@ class GenParams:
         for name, p in (("endow_prob", self.endow_prob), ("accept_prob", self.accept_prob)):
             if not 0.0 <= p <= 1.0:
                 raise InvalidParams(f"{name} must lie in [0, 1], got {p}")
+        try:
+            SplitMix64(self.seed)
+        except ValueError as exc:
+            raise InvalidParams(str(exc)) from None
         return self
 
 

@@ -118,18 +118,6 @@ class OptimalMatching:
             if li < 0:
                 return rj, settled, prev
 
-    def _gain(self, root: int, end: int, prev: dict[int, int]) -> int:
-        """Weight added by augmenting along the path from ``root`` to ``end``."""
-        rows, mate = self.graph.rows, self.mate
-        gain, rj = 0, end
-        while True:
-            li = prev[rj]
-            gain += rows[li][rj]
-            if li == root:
-                return gain
-            rj = mate[li]
-            gain -= rows[li][rj]
-
     def _augment(
         self, root: int, end: int, settled: dict[int, int], prev: dict[int, int]
     ) -> None:
@@ -176,8 +164,11 @@ class OptimalMatching:
             found = self._search(li)
             weight = None
             if found is not None:
+                # The path's reduced costs telescope: its non-matched edges
+                # sum to settled[end] and its matched edges are tight, so
+                # augmenting adds 1 - settled[end] - u[li] - v[end].
                 end, settled, prev = found
-                weight = self.weight + self._gain(li, end, prev)
+                weight = self.weight + 1 - (settled[end] + self.u[li] + self.v[end])
             kept = weight is not None and weight >= min_weight
             if kept:
                 # The duals change only here, so a rejection needs no undo.

@@ -98,6 +98,10 @@ class PermutationPolicy:
 
     @classmethod
     def seeded(cls, seed: int) -> "PermutationPolicy":
+        try:
+            SplitMix64(seed)
+        except ValueError as exc:
+            raise PermutationError(str(exc)) from None
         return cls(kind="seeded", seed=seed)
 
     def realize(self, agents: tuple[str, ...]) -> tuple[str, ...]:

@@ -9,14 +9,17 @@ depth is not bounded by the interpreter's recursion limit).  Every
 negative verdict carries a witness that a standalone checker can
 re-validate without re-running the search that found it.
 
-The core searches are polynomial yet return the witness an enumeration of
-every coalition would: the blocking coalition with the smallest bit mask
-over the candidate agents in agent order (bit i is the i-th candidate),
-found bit by bit from the top with one matching per step.
+Pareto optimality has one route, the matching certificate: an allocation
+is dominated iff its satisfied agents plus one more can all be given
+acceptable houses.  The core searches are polynomial yet return the
+witness an enumeration of every coalition would: the blocking coalition
+with the smallest bit mask over the candidate agents in agent order (bit i
+is the i-th candidate), found bit by bit from the top with one matching
+per step.
 
-The remaining brute-force searches are bounded by a :class:`SizeBudget`;
-exceeding a budget raises :class:`BudgetExceeded` rather than silently
-truncating.
+The two exhaustive searches left, the welfare maxima and the misreport
+sweep, are bounded by a :class:`SizeBudget`; exceeding a budget raises
+:class:`BudgetExceeded` rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -45,17 +48,14 @@ class InvalidBudget(ValueError):
     """A HOUSEALLOC_MAX_* environment variable is not an integer."""
 
 
-class OracleDisagreement(RuntimeError):
-    """The brute-force and certificate routes returned different verdicts."""
-
-
 @dataclass(frozen=True)
 class SizeBudget:
     """Limits for the exhaustive searches.
 
-    ``max_alloc_*`` bound allocation enumeration and ``max_misreport_houses``
-    bounds the 2^m report sweep per agent.  The core and strict-core
-    searches are polynomial and take no budget.
+    ``max_alloc_*`` bound only the allocation enumeration of
+    :func:`welfare_maxima` (and the CLI ``report`` pre-check made for it);
+    ``max_misreport_houses`` bounds the 2^m report sweep per agent.  The
+    Pareto, core and strict-core checks are polynomial and take no budget.
     """
 
     max_alloc_agents: int = 8
@@ -248,6 +248,16 @@ def _kuhn(adj: list[list[int]], n_right: int) -> list[int]:
     return matched
 
 
+def _to_allocation(instance: Instance, choice: list[int]) -> Allocation:
+    """The allocation giving agent i house ``choice[i]``, or nothing if -1."""
+    return Allocation(
+        assignment={
+            a: (instance.houses[choice[i]] if choice[i] >= 0 else None)
+            for i, a in enumerate(instance.agents)
+        }
+    )
+
+
 # --------------------------------------------------------------------------
 # Welfare maxima by exhaustive enumeration
 
@@ -291,7 +301,7 @@ def welfare_maxima(instance: Instance, budget: SizeBudget | None = None) -> Welf
 
     best = [-1, -1, -1]  # unconstrained, ir, sir
     floor = -1  # min(best), which changes only when a leaf raises best
-    argmax: list[list[int] | None] = [None, None, None]
+    argmax: list[list[int]] = [[], [], []]  # always set: the endowments qualify for all three
     cur = [-1] * n
 
     def rec(i: int, used: int, wel: int, ir_ok: bool, sir_ok: bool) -> None:
@@ -331,24 +341,13 @@ def welfare_maxima(instance: Instance, budget: SizeBudget | None = None) -> Welf
         cur[i] = -1
 
     rec(0, 0, 0, True, True)
-
-    def to_allocation(choice: list[int] | None) -> Allocation:
-        if choice is None:  # unreachable: the empty assignment always qualifies
-            return Allocation(assignment={a: None for a in instance.agents})
-        return Allocation(
-            assignment={
-                a: (instance.houses[choice[i]] if choice[i] >= 0 else None)
-                for i, a in enumerate(instance.agents)
-            }
-        )
-
     return WelfareMaxima(
         unconstrained=best[0],
         ir=best[1],
         sir=best[2],
-        unconstrained_argmax=to_allocation(argmax[0]),
-        ir_argmax=to_allocation(argmax[1]),
-        sir_argmax=to_allocation(argmax[2]),
+        unconstrained_argmax=_to_allocation(instance, argmax[0]),
+        ir_argmax=_to_allocation(instance, argmax[1]),
+        sir_argmax=_to_allocation(instance, argmax[2]),
     )
 
 
@@ -365,49 +364,30 @@ def max_welfare_allocation(instance: Instance) -> tuple[int, Allocation]:
         for a in instance.agents
     ]
     matched = _kuhn(adj, instance.num_houses)
-    assignment: dict[str, str | None] = {
-        a: (instance.houses[matched[i]] if matched[i] >= 0 else None)
-        for i, a in enumerate(instance.agents)
-    }
-    size = sum(1 for j in matched if j >= 0)
-    return size, Allocation(assignment=assignment)
+    return sum(1 for j in matched if j >= 0), _to_allocation(instance, matched)
 
 
 # --------------------------------------------------------------------------
-# Pareto optimality: brute force and polynomial certificate
+# Pareto optimality by matching certificate
 
 
 def is_pareto_optimal(
-    instance: Instance,
-    allocation: Allocation,
-    budget: SizeBudget | None = None,
-    method: str = "certificate",
+    instance: Instance, allocation: Allocation, method: str = "certificate"
 ) -> Verdict:
     """No allocation makes everyone weakly better and someone strictly better.
 
-    ``method`` selects the route: "certificate" (matching-based, no size
-    budget), "brute" (exhaustive dominator search, budget applies) or
-    "both" (run both, insist they agree).
+    Dominating the allocation means re-satisfying everyone it satisfies plus
+    one more agent, which is a bipartite matching question; the witness
+    serves the first unsatisfied agent, in agent order, for which that
+    matching exists.  "certificate" is the only ``method``.
     """
+    if method != "certificate":
+        raise ValueError(f"unknown method {method!r}")
     validate_allocation(instance, allocation)
-    if method == "certificate":
-        return _po_certificate(instance, allocation)
-    if method == "brute":
-        return _po_brute(instance, allocation, budget)
-    if method == "both":
-        brute = _po_brute(instance, allocation, budget)
-        cert = _po_certificate(instance, allocation)
-        if brute.holds != cert.holds:
-            raise OracleDisagreement(
-                f"brute-force says {brute.holds}, certificate says {cert.holds}"
-            )
-        return brute
-    raise ValueError(f"unknown method {method!r}")
+    return _po_certificate(instance, allocation)
 
 
 def _po_certificate(instance: Instance, allocation: Allocation) -> Verdict:
-    # Dominating the allocation means re-satisfying everyone it satisfies
-    # plus one more agent, which is a bipartite matching question.
     sat = satisfied_set(instance, allocation)
     sat_indices = [i for i, a in enumerate(instance.agents) if a in sat]
     acc_rows = [
@@ -421,69 +401,10 @@ def _po_certificate(instance: Instance, allocation: Allocation) -> Verdict:
         matched = _kuhn([acc_rows[i] for i in group], instance.num_houses)
         if -1 in matched:
             continue
-        assignment: dict[str, str | None] = {a: None for a in instance.agents}
+        choice = [-1] * instance.num_agents
         for pos, i in enumerate(group):
-            assignment[instance.agents[i]] = instance.houses[matched[pos]]
-        return Verdict(False, DominationWitness(Allocation(assignment=assignment)))
-    return Verdict(True)
-
-
-def _po_brute(
-    instance: Instance, allocation: Allocation, budget: SizeBudget | None
-) -> Verdict:
-    budget = budget or SizeBudget.from_env()
-    n, m = instance.num_agents, instance.num_houses
-    if n > budget.max_alloc_agents or m > budget.max_alloc_houses:
-        raise BudgetExceeded(
-            f"dominator enumeration over {n} agents x {m} houses exceeds the "
-            f"budget of {budget.max_alloc_agents} x {budget.max_alloc_houses}"
-        )
-    base_welfare = welfare(instance, allocation)
-    sat_flags = [
-        allocation.house_of(a) is not None
-        and allocation.house_of(a) in instance.acceptable[a]
-        for a in instance.agents
-    ]
-    acc_mask = [
-        sum(1 << j for j, h in enumerate(instance.houses) if h in instance.acceptable[a])
-        for a in instance.agents
-    ]
-    cur = [-1] * n
-    found: list[list[int]] = []
-
-    def rec(i: int, used: int, wel: int) -> bool:
-        # Branches where a satisfied agent already lost its utility, or where
-        # even satisfying all remaining agents cannot beat the base welfare,
-        # contain no dominator.
-        if wel + (n - i) <= base_welfare:
-            return False
-        if i == n:
-            found.append(cur.copy())
-            return True
-        mask = acc_mask[i]
-        if not sat_flags[i]:
-            cur[i] = -1
-            if rec(i + 1, used, wel):
-                return True
-        for hj in range(m):
-            if (used >> hj) & 1:
-                continue
-            liked = (mask >> hj) & 1 == 1
-            if sat_flags[i] and not liked:
-                continue
-            cur[i] = hj
-            if rec(i + 1, used | (1 << hj), wel + (1 if liked else 0)):
-                return True
-        cur[i] = -1
-        return False
-
-    if rec(0, 0, 0):
-        choice = found[0]
-        assignment = {
-            a: (instance.houses[choice[i]] if choice[i] >= 0 else None)
-            for i, a in enumerate(instance.agents)
-        }
-        return Verdict(False, DominationWitness(Allocation(assignment=assignment)))
+            choice[i] = matched[pos]
+        return Verdict(False, DominationWitness(_to_allocation(instance, choice)))
     return Verdict(True)
 
 
@@ -534,7 +455,7 @@ def _first_blocking(
     picky = [a in choosy for a in base]
     can_win = set(winners)
     gains = [a in can_win for a in base]
-    need_gain = None not in can_win
+    need_winner = None not in can_win
 
     def exists(forced: set[int], allowed: list[int]) -> bool:
         # Choosy members are rooted first and take an acceptable house or,
@@ -549,10 +470,10 @@ def _first_blocking(
         adj += [[at[j] for j in likes[b] if j in at] for b in allowed if gains[b]]
         matched = _kuhn(adj, len(allowed))
         return -1 not in matched[: len(keep)] and (
-            not need_gain or any(j != -1 for j in matched[len(keep):])
+            not need_winner or any(j != -1 for j in matched[len(keep):])
         )
 
-    if need_gain and not exists(set(), list(range(len(base)))):
+    if need_winner and not exists(set(), list(range(len(base)))):
         return None  # no winner gains even with every agent allowed
     top = next((t for t in range(len(base)) if exists({t}, list(range(t + 1)))), None)
     if top is None:
@@ -583,6 +504,16 @@ def _first_blocking(
 
 # --------------------------------------------------------------------------
 # Strategyproofness sweep
+
+
+def _misreport(instance: Instance, agent: str, reported: frozenset[str]) -> Instance:
+    """``instance`` with ``agent`` reporting ``reported`` as its acceptable set."""
+    return Instance(
+        agents=instance.agents,
+        houses=instance.houses,
+        endowment=instance.endowment,
+        acceptable={**instance.acceptable, agent: reported},
+    )
 
 
 def check_strategyproofness(
@@ -617,13 +548,7 @@ def check_strategyproofness(
             )
             if reported == true_set:
                 continue
-            twisted = Instance(
-                agents=instance.agents,
-                houses=instance.houses,
-                endowment=instance.endowment,
-                acceptable={**instance.acceptable, agent: reported},
-            )
-            outcome = run_mechanism(twisted, mechanism, policy)
+            outcome = run_mechanism(_misreport(instance, agent, reported), mechanism, policy)
             landed = outcome.allocation.house_of(agent)
             if landed is not None and landed in true_set:
                 return ManipulationWitness(
@@ -680,56 +605,40 @@ def verify_domination_witness(
     return strict
 
 
+def _trade_changes(
+    instance: Instance, allocation: Allocation, members: tuple[str, ...], realloc: dict[str, str]
+) -> dict[str, int] | None:
+    """Each member's utility change under a coalition trade, or None unless
+    the members are distinct and endowed, the reallocation covers exactly
+    them, and it hands out distinct houses from their endowments."""
+    if not members or len(set(members)) != len(members) or set(realloc) != set(members):
+        return None
+    pool = {instance.endowment_of(a) for a in members}
+    houses = list(realloc.values())
+    if None in pool or len(set(houses)) != len(houses) or not set(houses) <= pool:
+        return None
+    return {
+        a: utility(instance, a, realloc[a]) - utility(instance, a, allocation.house_of(a))
+        for a in members
+    }
+
+
 def verify_blocking_witness(
     instance: Instance, allocation: Allocation, witness: BlockingWitness
 ) -> bool:
-    members = witness.coalition
-    realloc = witness.reallocation
-    if not members or len(set(members)) != len(members):
-        return False
-    if set(realloc) != set(members):
-        return False
-    pool = set()
-    for a in members:
-        own = instance.endowment_of(a)
-        if own is None:
-            return False
-        pool.add(own)
-    houses = list(realloc.values())
-    if len(set(houses)) != len(houses) or not set(houses) <= pool:
-        return False
-    for a in members:
-        if utility(instance, a, realloc[a]) <= utility(instance, a, allocation.house_of(a)):
-            return False
-    return True
+    changes = _trade_changes(instance, allocation, witness.coalition, witness.reallocation)
+    return changes is not None and min(changes.values()) > 0
 
 
 def verify_weak_blocking_witness(
     instance: Instance, allocation: Allocation, witness: WeakBlockingWitness
 ) -> bool:
-    members = witness.coalition
-    realloc = witness.reallocation
-    if not members or len(set(members)) != len(members):
-        return False
-    if set(realloc) != set(members) or witness.improving_agent not in members:
-        return False
-    pool = set()
-    for a in members:
-        own = instance.endowment_of(a)
-        if own is None:
-            return False
-        pool.add(own)
-    houses = list(realloc.values())
-    if len(set(houses)) != len(houses) or not set(houses) <= pool:
-        return False
-    for a in members:
-        u_new = utility(instance, a, realloc[a])
-        u_old = utility(instance, a, allocation.house_of(a))
-        if u_new < u_old:
-            return False
-        if a == witness.improving_agent and u_new <= u_old:
-            return False
-    return True
+    changes = _trade_changes(instance, allocation, witness.coalition, witness.reallocation)
+    return (
+        changes is not None
+        and min(changes.values()) >= 0
+        and changes.get(witness.improving_agent, 0) > 0
+    )
 
 
 def verify_manipulation_witness(
@@ -743,12 +652,7 @@ def verify_manipulation_witness(
     true_set = instance.acceptable[agent]
     truthful = run_mechanism(instance, mechanism, policy)
     u_true = utility(instance, agent, truthful.allocation.house_of(agent))
-    twisted = Instance(
-        agents=instance.agents,
-        houses=instance.houses,
-        endowment=instance.endowment,
-        acceptable={**instance.acceptable, agent: frozenset(witness.reported)},
-    )
+    twisted = _misreport(instance, agent, frozenset(witness.reported))
     outcome = run_mechanism(twisted, mechanism, policy)
     landed = outcome.allocation.house_of(agent)
     u_lied = 1 if (landed is not None and landed in true_set) else 0
@@ -785,17 +689,25 @@ def evaluate_properties(
     properties: tuple[str, ...],
     budget: SizeBudget | None = None,
 ) -> PropertyReport:
-    """Evaluate the requested property keys against one allocation."""
+    """Evaluate the requested property keys against one allocation.
+
+    The welfare keys share one branch; only ``maxw-ir`` and ``maxw-sir``
+    run (at most once) the enumeration behind :func:`welfare_maxima`.
+    """
     budget = budget or SizeBudget.from_env()
     verdicts: dict[str, Verdict] = {}
-    maxima: WelfareMaxima | None = None
+    maxima: list[WelfareMaxima] = []
 
-    def constrained_maxima() -> WelfareMaxima:
-        nonlocal maxima
-        if maxima is None:
-            maxima = welfare_maxima(instance, budget)
-        return maxima
+    def constrained() -> WelfareMaxima:
+        if not maxima:
+            maxima.append(welfare_maxima(instance, budget))
+        return maxima[0]
 
+    targets = {
+        "maxw": lambda: max_welfare_allocation(instance),
+        "maxw-ir": lambda: (constrained().ir, constrained().ir_argmax),
+        "maxw-sir": lambda: (constrained().sir, constrained().sir_argmax),
+    }
     for key in properties:
         if key == "ir":
             bad = ir_violation(instance, allocation)
@@ -804,33 +716,16 @@ def evaluate_properties(
             bad = sir_violation(instance, allocation)
             verdicts[key] = Verdict(bad is None, bad)
         elif key == "po":
-            verdicts[key] = is_pareto_optimal(instance, allocation, budget)
+            verdicts[key] = is_pareto_optimal(instance, allocation)
         elif key == "core":
             verdicts[key] = is_core_stable(instance, allocation)
         elif key == "strict-core":
             verdicts[key] = is_strict_core_stable(instance, allocation)
-        elif key == "maxw":
-            target, exemplar = max_welfare_allocation(instance)
+        elif key in targets:
+            target, exemplar = targets[key]()
             achieved = welfare(instance, allocation)
-            if achieved == target:
-                verdicts[key] = Verdict(True)
-            else:
-                verdicts[key] = Verdict(
-                    False, WelfareGapWitness(achieved, target, exemplar)
-                )
-        elif key in ("maxw-ir", "maxw-sir"):
-            found = constrained_maxima()
-            if key == "maxw-ir":
-                target, exemplar = found.ir, found.ir_argmax
-            else:
-                target, exemplar = found.sir, found.sir_argmax
-            achieved = welfare(instance, allocation)
-            if achieved == target:
-                verdicts[key] = Verdict(True)
-            else:
-                verdicts[key] = Verdict(
-                    False, WelfareGapWitness(achieved, target, exemplar)
-                )
+            gap = None if achieved == target else WelfareGapWitness(achieved, target, exemplar)
+            verdicts[key] = Verdict(gap is None, gap)
         else:
             raise ValueError(f"unknown property {key!r}")
     return PropertyReport(verdicts=verdicts)

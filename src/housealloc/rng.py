@@ -21,7 +21,11 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        """``seed`` must be an int in [0, 2^64); masking any other value to
+        64 bits would silently alias another seed."""
+        if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64

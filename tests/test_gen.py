@@ -46,6 +46,21 @@ def test_invalid_params_rejected():
         random_instance(GenParams(1, 2, 0.5, -0.1, 1))
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 2.0, "3"])
+def test_out_of_range_seed_rejected(seed):
+    # masking to 64 bits would make -1 an alias of 2^64 - 1
+    with pytest.raises(InvalidParams):
+        random_instance(GenParams(4, 4, 0.5, 0.5, seed))
+    with pytest.raises(ValueError):
+        SplitMix64(seed)
+
+
+def test_largest_seed_accepted():
+    rng = SplitMix64((1 << 64) - 1)
+    assert 0 <= rng.next_u64() < 1 << 64
+    assert random_instance(GenParams(4, 4, 0.5, 0.5, (1 << 64) - 1)).num_agents == 4
+
+
 def test_same_seed_same_bytes():
     params = GenParams(5, 6, 0.8, 0.3, 42)
     first = dumps_instance(random_instance(params))

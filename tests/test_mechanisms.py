@@ -265,6 +265,12 @@ def test_seeded_policy_deterministic(e3):
     assert sorted(a) == sorted(e3.agents)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeded_policy_rejects_out_of_range_seed(seed):
+    with pytest.raises(PermutationError):
+        PermutationPolicy.seeded(seed)
+
+
 def test_mir_with_adverse_order_can_leave_core_violation(e3):
     # processing the outside pair first reproduces the unstable allocation
     result = run_mechanism(e3, Mechanism.MIR, PermutationPolicy.explicit(("3", "4", "1", "2")))

@@ -24,6 +24,7 @@ from housealloc.oracles import (
 )
 from conftest import random_allocation
 import reference_core
+import reference_po
 
 X_E1 = Allocation({"1": "h2", "2": "h3", "3": "h1", "4": "h4", "5": "h5"})
 Y_E1 = Allocation({"1": "h2", "2": "h3", "3": "h1", "4": "h5", "5": "h6"})
@@ -75,13 +76,16 @@ def test_sir_blocks_swapping_between_acceptable_houses():
 
 
 def test_po_examples(e1, e2):
-    assert is_pareto_optimal(e1, Y_E1, method="both").holds
-    verdict = is_pareto_optimal(e1, X_E1, method="both")
+    assert is_pareto_optimal(e1, Y_E1).holds
+    assert reference_po.is_pareto_optimal(e1, Y_E1).holds
+    verdict = is_pareto_optimal(e1, X_E1)
     assert not verdict.holds
+    assert not reference_po.is_pareto_optimal(e1, X_E1).holds
     assert verify_domination_witness(e1, X_E1, verdict.witness)
     endow_only = Allocation({"1": "h1", "2": "h2"})
-    verdict2 = is_pareto_optimal(e2, endow_only, method="both")
+    verdict2 = is_pareto_optimal(e2, endow_only)
     assert not verdict2.holds
+    assert not reference_po.is_pareto_optimal(e2, endow_only).holds
     assert verify_domination_witness(e2, endow_only, verdict2.witness)
     # the witness satisfies agent 1 via h2
     assert verdict2.witness.allocation.house_of("1") == "h2"
@@ -89,17 +93,22 @@ def test_po_examples(e1, e2):
 
 def test_po_brute_budget():
     inst = random_instance(GenParams(9, 4, 0.5, 0.5, 1))
-    with pytest.raises(BudgetExceeded):
-        is_pareto_optimal(inst, Allocation({}), method="brute")
     # the certificate path has no budget
     assert is_pareto_optimal(inst, Allocation({}), method="certificate") is not None
+
+
+def test_po_certificate_is_the_only_method(e1):
+    assert is_pareto_optimal(e1, Y_E1, method="certificate") == is_pareto_optimal(e1, Y_E1)
+    for method in ("brute", "both"):
+        with pytest.raises(ValueError):
+            is_pareto_optimal(e1, Y_E1, method=method)
 
 
 def test_po_routes_agree_on_random_pairs():
     for trial in range(200):
         inst = random_instance(trial_params(12345, trial, 5, 5))
         alloc = random_allocation(inst, trial)
-        brute = is_pareto_optimal(inst, alloc, method="brute")
+        brute = reference_po.is_pareto_optimal(inst, alloc)
         cert = is_pareto_optimal(inst, alloc, method="certificate")
         assert brute.holds == cert.holds
 
