@@ -696,17 +696,18 @@ def evaluate_properties(
     """
     budget = budget or SizeBudget.from_env()
     verdicts: dict[str, Verdict] = {}
-    maxima: list[WelfareMaxima] = []
+    maxima: WelfareMaxima | None = None
 
-    def constrained() -> WelfareMaxima:
-        if not maxima:
-            maxima.append(welfare_maxima(instance, budget))
-        return maxima[0]
+    def constrained_maxima() -> WelfareMaxima:
+        nonlocal maxima
+        if maxima is None:
+            maxima = welfare_maxima(instance, budget)
+        return maxima
 
     targets = {
         "maxw": lambda: max_welfare_allocation(instance),
-        "maxw-ir": lambda: (constrained().ir, constrained().ir_argmax),
-        "maxw-sir": lambda: (constrained().sir, constrained().sir_argmax),
+        "maxw-ir": lambda: (constrained_maxima().ir, constrained_maxima().ir_argmax),
+        "maxw-sir": lambda: (constrained_maxima().sir, constrained_maxima().sir_argmax),
     }
     for key in properties:
         if key == "ir":
