@@ -16,7 +16,10 @@ matching, its weight and the duals that prove it optimal.  That state
 stays optimal while left vertices lose their weight-0 edges: deleting
 edges keeps the duals feasible, so an optimum that survives the deletion
 needs no work, and one that loses its edge needs a single search from the
-vertex that lost it.
+vertex that lost it.  The same repair carries an optimum to a graph that
+differs in one left vertex's row (:meth:`OptimalMatching.swap_row`): that
+vertex's dual drops to the cheapest reduced cost on its new row, and its
+matched edge either stays tight or gives way to one search.
 
 Determinism: under optimal duals the maximum-weight perfect matchings are
 exactly the perfect matchings of the tight subgraph (complementary
@@ -67,8 +70,9 @@ class OptimalMatching:
     ``mate[li]`` is the right vertex of left vertex li and ``owner[rj]`` the
     left vertex of right vertex rj (-1 while free).  The duals ``u``, ``v``
     satisfy ``1 - weight - u[li] - v[rj] >= 0`` on every edge, with
-    equality on matched edges.  The graph is shared, not copied: edges
-    leave it only through :meth:`drop_zero_edges`.
+    equality on matched edges.  The graph is shared, not copied (except by
+    :meth:`copy`): it changes only through :meth:`drop_zero_edges` and
+    :meth:`swap_row`.
     """
 
     __slots__ = ("graph", "mate", "owner", "u", "v", "weight")
@@ -180,6 +184,48 @@ class OptimalMatching:
             for rj in removed:
                 row[rj] = 0
         return removed, weight, kept
+
+    def copy(self) -> OptimalMatching:
+        """An independent copy: the graph's rows and the matching state are
+        both copied, so refining one leaves the other as it was."""
+        graph = self.graph
+        twin = OptimalMatching.__new__(OptimalMatching)
+        twin.graph = WeightedBipartiteGraph(
+            graph.left, graph.right, [dict(row) for row in graph.rows]
+        )
+        twin.mate, twin.owner = self.mate[:], self.owner[:]
+        twin.u, twin.v = self.u[:], self.v[:]
+        twin.weight = self.weight
+        return twin
+
+    def swap_row(self, li: int, row: dict[int, int]) -> bool:
+        """Give left vertex ``li`` the non-empty ``row`` in place of its
+        current one and re-optimise; False if the new graph has no perfect
+        matching, which leaves the state unusable.
+
+        Setting ``u[li]`` to the smallest reduced cost on the new row keeps
+        the duals feasible, and every other matched edge stays tight.  So if
+        li's matched edge is still present and tight the optimum stands;
+        otherwise one search from li, as in :meth:`drop_zero_edges`, finds
+        the new one.
+        """
+        rows, u, v = self.graph.rows, self.u, self.v
+        h = self.mate[li]
+        rest = self.weight - rows[li][h]  # the weight of the other matched edges
+        rows[li] = row
+        u[li] = min(1 - w - v[rj] for rj, w in row.items())
+        if h in row and 1 - row[h] - u[li] - v[h] == 0:
+            self.weight = rest + row[h]
+            return True
+        self.owner[h] = -1
+        found = self._search(li)
+        if found is None:
+            return False
+        end, settled, prev = found
+        # The path telescopes as in drop_zero_edges.
+        self.weight = rest + 1 - (settled[end] + u[li] + v[end])
+        self._augment(li, end, settled, prev)
+        return True
 
     def _cycle(self, start: int, fixed: int, target: int, dead: set[int]) -> list | None:
         """Tight alternating path from left vertex ``start`` to right vertex

@@ -27,6 +27,12 @@ duals the optima are exactly the perfect matchings of the tight subgraph,
 so that lex-min optimum does not depend on which optimum the walk started
 from or passed through.
 
+For the same reason a misreport needs no solve of its own
+(:func:`run_misreports`): it changes only the reporter's row, so each
+report's run starts from a copy of the truthful optimum with the new row
+swapped in and repaired by at most one search, and ends exactly where a
+cold run would.
+
 Graph shape (k = |n - m| dummies pad the short side):
 
 * an agent is *free* when it has no endowment, or, under MIR, when its
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator, NamedTuple
 
 from .matching import (
     Matching,
@@ -54,7 +61,7 @@ from .matching import (
     WeightedBipartiteGraph,
     max_weight_perfect_matching,
 )
-from .model import Allocation, Instance, welfare
+from .model import Allocation, Instance, satisfied_set
 from .rng import SplitMix64
 
 
@@ -120,8 +127,7 @@ class PermutationPolicy:
         raise PermutationError(f"unknown permutation policy {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One refinement round: which edges went, what weight the optimum
     kept without them."""
 
@@ -171,31 +177,37 @@ def _padded_sides(instance: Instance) -> tuple[tuple[str, ...], tuple[str, ...]]
     return tuple(left), tuple(right)
 
 
+def _agent_row(
+    instance: Instance, agent: str, mechanism: Mechanism, size: int
+) -> dict[int, int]:
+    """The row of ``agent`` over ``size`` right vertices, by the module
+    docstring's rule."""
+    hidx = instance.house_index
+    own = instance.endowment_of(agent)
+    acc = instance.acceptable[agent]
+    liked = own in acc
+    msir = mechanism is Mechanism.MSIR
+    if own is None or not (msir or liked):
+        row = dict.fromkeys(range(size), 0)
+        for house in acc:
+            row[hidx[house]] = 1
+        return row
+    row = {hidx[own]: 1 if liked else 0}
+    if not (msir and liked):
+        for house in instance.houses:
+            if house in acc and house != own:
+                row[hidx[house]] = 1
+    return row
+
+
 def build_graph(instance: Instance, mechanism: Mechanism) -> WeightedBipartiteGraph:
     """Feasibility graph whose perfect matchings are the S-IR (MSIR) or the
     IR (MIR) allocations; the shape is the module docstring's rule."""
     left, right = _padded_sides(instance)
-    m = instance.num_houses
-    hidx = instance.house_index
-    msir = mechanism is Mechanism.MSIR
-    rows: list[dict[int, int]] = []
-    for agent in instance.agents:
-        row: dict[int, int] = {}
-        own = instance.endowment_of(agent)
-        acc = instance.acceptable[agent]
-        liked = own in acc
-        if own is None or not (msir or liked):
-            for rj in range(len(right)):
-                row[rj] = 1 if rj < m and right[rj] in acc else 0
-        else:
-            row[hidx[own]] = 1 if liked else 0
-            if not (msir and liked):
-                for house in instance.houses:
-                    if house in acc and house != own:
-                        row[hidx[house]] = 1
-        rows.append(row)
+    size = len(right)
+    rows = [_agent_row(instance, agent, mechanism, size) for agent in instance.agents]
     rows.extend(  # dummy agents
-        dict.fromkeys(range(len(right)), 0) for _ in range(len(left) - len(rows))
+        dict.fromkeys(range(size), 0) for _ in range(len(left) - len(rows))
     )
     return WeightedBipartiteGraph(left, right, rows)
 
@@ -217,6 +229,7 @@ def serial_refinement(
     per-round log.
     """
     target = optimum.weight
+    right = graph.right
     index = {label: i for i, label in enumerate(graph.left)}
     flags: dict[str, int] = {}
     rounds: list[RoundRecord] = []
@@ -225,14 +238,7 @@ def serial_refinement(
             raise PermutationError(f"permutation names unknown agent {agent!r}")
         removed, weight, accepted = optimum.drop_zero_edges(index[agent], target)
         flags[agent] = 1 if accepted else 0
-        rounds.append(
-            RoundRecord(
-                agent=agent,
-                removed=tuple(graph.right[rj] for rj in removed),
-                weight=weight,
-                accepted=accepted,
-            )
-        )
+        rounds.append(RoundRecord(agent, tuple(right[rj] for rj in removed), weight, accepted))
     return optimum.canonical(), flags, tuple(rounds)
 
 
@@ -243,16 +249,74 @@ def run_mechanism(
 ) -> MechanismResult:
     """Run MSIR or MIR end to end and return the allocation plus its trace."""
     policy = policy or PermutationPolicy.identity()
-    graph = build_graph(instance, mechanism)
+    return _refine(instance, _solve(instance, mechanism), policy.realize(instance.agents))
 
-    optimum = max_weight_perfect_matching(graph)  # the run's only full solve
+
+def run_misreports(
+    instance: Instance,
+    mechanism: Mechanism,
+    agent: str,
+    reports: Iterable[frozenset[str]],
+    policy: PermutationPolicy | None = None,
+) -> Iterator[MechanismResult]:
+    """The runs on ``instance`` with ``agent`` reporting each of ``reports``
+    in turn, one result per report, produced lazily.
+
+    Each equals ``run_mechanism(instance.with_report(agent, reported),
+    mechanism, policy)``, but the graph is built and solved only once, for
+    the truthful reports; see :class:`_Solved`.
+    """
+    return _Solved(instance, mechanism, policy).misreports(agent, reports)
+
+
+class _Solved:
+    """The mechanism graph of an instance, solved once, as the warm start of
+    the truthful run and of every run with one agent's report changed;
+    each run refines its own copy of the optimum."""
+
+    __slots__ = ("instance", "mechanism", "optimum", "permutation")
+
+    def __init__(
+        self, instance: Instance, mechanism: Mechanism, policy: PermutationPolicy | None
+    ) -> None:
+        policy = policy or PermutationPolicy.identity()
+        self.instance = instance
+        self.mechanism = mechanism
+        self.optimum = _solve(instance, mechanism)
+        self.permutation = policy.realize(instance.agents)
+
+    def truthful(self) -> MechanismResult:
+        return _refine(self.instance, self.optimum.copy(), self.permutation)
+
+    def misreports(
+        self, agent: str, reports: Iterable[frozenset[str]]
+    ) -> Iterator[MechanismResult]:
+        instance, mechanism = self.instance, self.mechanism
+        size = len(self.optimum.graph.right)
+        for reported in reports:
+            twisted = instance.with_report(agent, reported)
+            optimum = self.optimum.copy()
+            row = _agent_row(twisted, agent, mechanism, size)
+            if not optimum.swap_row(instance.agent_index[agent], row):
+                raise InfeasibleInput("mechanism graph admits no perfect matching")
+            yield _refine(twisted, optimum, self.permutation)
+
+
+def _solve(instance: Instance, mechanism: Mechanism) -> OptimalMatching:
+    """Build the mechanism graph and run its one full solve."""
+    optimum = max_weight_perfect_matching(build_graph(instance, mechanism))
     if optimum is None:
         raise InfeasibleInput("mechanism graph admits no perfect matching")
+    return optimum
+
+
+def _refine(
+    instance: Instance, optimum: OptimalMatching, permutation: tuple[str, ...]
+) -> MechanismResult:
+    """Everything a run does after the full solve: the refinement walk, the
+    lex-min allocation, the trace and the postconditions."""
     target = optimum.weight
-
-    permutation = policy.realize(instance.agents)
-    final, flags, rounds = serial_refinement(graph, permutation, optimum)
-
+    final, flags, rounds = serial_refinement(optimum.graph, permutation, optimum)
     allocation = _extract_allocation(instance, final)
     trace = MechanismTrace(
         initial_weight=target,
@@ -276,18 +340,13 @@ def _extract_allocation(instance: Instance, final: Matching) -> Allocation:
 def _check_postconditions(
     instance: Instance, allocation: Allocation, trace: MechanismTrace
 ) -> None:
-    achieved = welfare(instance, allocation)
-    if achieved != trace.initial_weight:
+    satisfied = satisfied_set(instance, allocation)
+    if len(satisfied) != trace.initial_weight:
         raise MechanismInvariantError(
-            f"allocation welfare {achieved} != matching weight {trace.initial_weight}"
+            f"allocation welfare {len(satisfied)} != matching weight {trace.initial_weight}"
         )
     if sum(trace.satisfied_flags.values()) != trace.initial_weight:
         raise MechanismInvariantError("satisfied flags do not sum to the weight")
     flagged = {a for a, f in trace.satisfied_flags.items() if f == 1}
-    satisfied = {
-        a
-        for a, h in allocation.assignment.items()
-        if h is not None and h in instance.acceptable[a]
-    }
     if flagged != satisfied:
         raise MechanismInvariantError("flagged agents differ from satisfied agents")

@@ -76,6 +76,20 @@ class Instance:
     def endowment_of(self, agent: str) -> str | None:
         return self.endowment.get(agent)
 
+    def with_report(self, agent: str, reported: frozenset[str]) -> "Instance":
+        """This market with ``agent`` reporting ``reported`` as its
+        acceptable set.  Agents and houses are the same, so the indexes are
+        shared rather than rebuilt."""
+        if agent not in self.agent_index:
+            raise UnknownAgent(f"unknown agent {agent!r}")
+        if not reported <= self.house_index.keys():
+            raise UnknownHouse(f"agent {agent!r} reports an unknown house acceptable")
+        twisted = Instance(
+            self.agents, self.houses, self.endowment, {**self.acceptable, agent: reported}
+        )
+        vars(twisted).update(agent_index=self.agent_index, house_index=self.house_index)
+        return twisted
+
 
 @dataclass(frozen=True, eq=True)
 class Allocation:

@@ -17,6 +17,13 @@ with the smallest bit mask over the candidate agents in agent order (bit i
 is the i-th candidate), found bit by bit from the top with one matching
 per step.
 
+The misreport sweep is the one check that runs the mechanism itself, on
+every report of every agent.  It solves the mechanism graph once per
+sweep: each report swaps the reporter's row into a copy of that optimum
+and repairs it with at most one search (see
+:func:`housealloc.mechanisms.run_misreports`), with the same results as a
+cold run per report.  Its witnesses are re-checked by two cold runs.
+
 The two exhaustive searches left, the welfare maxima and the misreport
 sweep, are bounded by a :class:`SizeBudget`; exceeding a budget raises
 :class:`BudgetExceeded` rather than silently truncating.
@@ -27,10 +34,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .mechanisms import Mechanism, PermutationPolicy, run_mechanism
+from .mechanisms import Mechanism, PermutationPolicy, _Solved, run_mechanism
 from .model import (
     Allocation,
     Instance,
+    UnknownAgent,
+    UnknownHouse,
     satisfied_set,
     utility,
     validate_allocation,
@@ -506,16 +515,6 @@ def _first_blocking(
 # Strategyproofness sweep
 
 
-def _misreport(instance: Instance, agent: str, reported: frozenset[str]) -> Instance:
-    """``instance`` with ``agent`` reporting ``reported`` as its acceptable set."""
-    return Instance(
-        agents=instance.agents,
-        houses=instance.houses,
-        endowment=instance.endowment,
-        acceptable={**instance.acceptable, agent: reported},
-    )
-
-
 def check_strategyproofness(
     instance: Instance,
     mechanism: Mechanism,
@@ -526,7 +525,9 @@ def check_strategyproofness(
     that strictly raises the reporting agent's true utility, if any.
 
     Agents already satisfied under truth-telling are skipped: with 1-0
-    utilities they have nothing left to gain.
+    utilities they have nothing left to gain.  The mechanism graph is
+    solved once; the truthful run and every misreport run start from that
+    optimum, each report with one row swap and at most one search.
     """
     budget = budget or SizeBudget.from_env()
     m = instance.num_houses
@@ -535,20 +536,19 @@ def check_strategyproofness(
             f"misreport sweep over {m} houses exceeds the budget "
             f"of {budget.max_misreport_houses}"
         )
-    policy = policy or PermutationPolicy.identity()
-    truthful = run_mechanism(instance, mechanism, policy)
+    solved = _Solved(instance, mechanism, policy)
+    truthful = solved.truthful()
+    houses = instance.houses
+    every_report = [
+        frozenset(houses[j] for j in range(m) if (bits >> j) & 1) for bits in range(1 << m)
+    ]
     for agent in instance.agents:
         true_set = instance.acceptable[agent]
         got = truthful.allocation.house_of(agent)
         if got is not None and got in true_set:
             continue
-        for bits in range(1 << m):
-            reported = frozenset(
-                instance.houses[j] for j in range(m) if (bits >> j) & 1
-            )
-            if reported == true_set:
-                continue
-            outcome = run_mechanism(_misreport(instance, agent, reported), mechanism, policy)
+        reports = [reported for reported in every_report if reported != true_set]
+        for reported, outcome in zip(reports, solved.misreports(agent, reports)):
             landed = outcome.allocation.house_of(agent)
             if landed is not None and landed in true_set:
                 return ManipulationWitness(
@@ -647,12 +647,17 @@ def verify_manipulation_witness(
     witness: ManipulationWitness,
     policy: PermutationPolicy | None = None,
 ) -> bool:
-    policy = policy or PermutationPolicy.identity()
+    """Re-run both reports cold, independently of the sweep's warm starts;
+    a witness naming an unknown agent or house is rejected."""
     agent = witness.agent
+    try:
+        twisted = instance.with_report(agent, frozenset(witness.reported))
+    except (UnknownAgent, UnknownHouse):
+        return False
+    policy = policy or PermutationPolicy.identity()
     true_set = instance.acceptable[agent]
     truthful = run_mechanism(instance, mechanism, policy)
     u_true = utility(instance, agent, truthful.allocation.house_of(agent))
-    twisted = _misreport(instance, agent, frozenset(witness.reported))
     outcome = run_mechanism(twisted, mechanism, policy)
     landed = outcome.allocation.house_of(agent)
     u_lied = 1 if (landed is not None and landed in true_set) else 0

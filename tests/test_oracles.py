@@ -284,6 +284,21 @@ def test_manipulation_witness_checker_rejects_fabrications(e2):
         agent="1", reported=frozenset({"h1"}), truthful_utility=0, misreport_utility=1
     )
     assert not verify_manipulation_witness(e2, Mechanism.MSIR, fake)
+    # names outside the market are rejected, not raised or run
+    unknown_agent = ManipulationWitness(
+        agent="nope", reported=frozenset({"h2"}), truthful_utility=0, misreport_utility=1
+    )
+    assert not verify_manipulation_witness(e2, Mechanism.MSIR, unknown_agent)
+    # the minimal MIR manipulation below, padded with a house that does not
+    # exist: run as a report, it would still win agent 3 h1
+    inst = validate_instance(
+        ["1", "2", "3"], ["h1", "h2", "h3"], {"3": "h3"},
+        {"1": {"h3"}, "2": {"h1"}, "3": {"h1"}},
+    )
+    unknown_house = ManipulationWitness(
+        agent="3", reported=frozenset({"h1", "h3", "h9"}), truthful_utility=0, misreport_utility=1
+    )
+    assert not verify_manipulation_witness(inst, Mechanism.MIR, unknown_house)
 
 
 def test_sweep_finds_mir_manipulation_on_minimal_instance():
