@@ -16,7 +16,6 @@ from .mechanisms import (
 )
 from .model import Allocation, Instance, utility, validate_instance, welfare
 from .oracles import (
-    SizeBudget,
     check_strategyproofness,
     is_core_stable,
     is_ir,
@@ -34,7 +33,6 @@ __all__ = [
     "MechanismResult",
     "MechanismTrace",
     "PermutationPolicy",
-    "SizeBudget",
     "check_strategyproofness",
     "is_core_stable",
     "is_ir",

@@ -26,7 +26,7 @@ from .mechanisms import (
     run_mechanism,
 )
 from .model import Instance, ModelError, welfare
-from .oracles import BudgetExceeded, InvalidBudget, SizeBudget
+from .oracles import BudgetExceeded
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -132,9 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
     if not requested:
         raise fileio.FileFormatError("--properties lists no properties")
-    report = oracles.evaluate_properties(
-        instance, allocation, requested, SizeBudget.from_env()
-    )
+    report = oracles.evaluate_properties(instance, allocation, requested)
     for key, verdict in report.verdicts.items():
         if verdict.holds:
             print(f"{key}: holds")
@@ -161,26 +159,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _report_checks(
     instance: Instance, result: MechanismResult, maxima: oracles.WelfareMaxima
-) -> dict[str, tuple[bool, object]]:
-    """Per-property (holds, witness) pairs for one mechanism run."""
+) -> dict[str, oracles.Verdict]:
+    """Per-property verdicts for one mechanism run.  The welfare targets and
+    exemplars are the enumeration's, shared by both mechanisms' runs."""
     alloc = result.allocation
+    checks = oracles.evaluate_properties(instance, alloc, ("sir", "ir", "core", "po")).verdicts
     achieved = welfare(instance, alloc)
-    checks: dict[str, tuple[bool, object]] = {}
-    bad_sir = oracles.sir_violation(instance, alloc)
-    checks["sir"] = (bad_sir is None, bad_sir)
-    bad_ir = oracles.ir_violation(instance, alloc)
-    checks["ir"] = (bad_ir is None, bad_ir)
-    core = oracles.is_core_stable(instance, alloc)
-    checks["core"] = (core.holds, core.witness)
-    po = oracles.is_pareto_optimal(instance, alloc)
-    checks["po"] = (po.holds, po.witness)
     for key, target, exemplar in (
         ("maxw-sir", maxima.sir, maxima.sir_argmax),
         ("maxw-ir", maxima.ir, maxima.ir_argmax),
         ("maxw", maxima.unconstrained, maxima.unconstrained_argmax),
     ):
         ok = achieved == target
-        checks[key] = (ok, None if ok else oracles.WelfareGapWitness(achieved, target, exemplar))
+        checks[key] = oracles.Verdict(
+            ok, None if ok else oracles.WelfareGapWitness(achieved, target, exemplar)
+        )
     return checks
 
 
@@ -190,17 +183,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise InvalidParams(f"--trials must be at least 1, got {args.trials}")
     seed = _parse_seed(args.seed, "--seed", InvalidParams)
-    budget = SizeBudget.from_env()
-    if args.max_agents > budget.max_alloc_agents or args.max_houses > budget.max_alloc_houses:
+    if args.max_agents > oracles.MAX_ALLOC_AGENTS or args.max_houses > oracles.MAX_ALLOC_HOUSES:
         raise BudgetExceeded(
             f"--max-agents/--max-houses exceed the allocation enumeration budget "
-            f"({budget.max_alloc_agents} x {budget.max_alloc_houses})"
+            f"({oracles.MAX_ALLOC_AGENTS} x {oracles.MAX_ALLOC_HOUSES})"
         )
     include_sp = args.sp == "on"
-    if include_sp and args.max_houses > budget.max_misreport_houses:
-        raise BudgetExceeded(
-            f"--sp on needs --max-houses <= {budget.max_misreport_houses}"
-        )
+    if include_sp and args.max_houses > oracles.MAX_MISREPORT_HOUSES:
+        raise BudgetExceeded(f"--sp on needs --max-houses <= {oracles.MAX_MISREPORT_HOUSES}")
     properties = REPORT_PROPERTIES + (("sp",) if include_sp else ())
     mechanisms = (Mechanism.MSIR, Mechanism.MIR)
     passes = {mech: {p: 0 for p in properties} for mech in mechanisms}
@@ -210,22 +200,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     for trial in range(args.trials):
         params = trial_params(seed, trial, args.max_agents, args.max_houses)
         instance = random_instance(params)
-        maxima = oracles.welfare_maxima(instance, budget)
+        maxima = oracles.welfare_maxima(instance)
         for mech in mechanisms:
             result = run_mechanism(instance, mech)
             checks = _report_checks(instance, result, maxima)
             if include_sp:
-                manipulation = oracles.check_strategyproofness(instance, mech, budget=budget)
-                checks["sp"] = (manipulation is None, manipulation)
-            for prop, (ok, witness) in checks.items():
-                if ok:
+                manipulation = oracles.check_strategyproofness(instance, mech)
+                checks["sp"] = oracles.Verdict(manipulation is None, manipulation)
+            for prop, verdict in checks.items():
+                if verdict.holds:
                     passes[mech][prop] += 1
                 elif (mech, prop) not in counterexamples:
                     counterexamples[(mech, prop)] = {
                         "trial": trial,
                         "instance": instance,
                         "result": result,
-                        "witness": witness,
+                        "witness": verdict.witness,
                     }
 
     print(f"trials={args.trials} seed={seed} "
@@ -329,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ModelError, fileio.FileFormatError, InvalidParams, PermutationError, InvalidBudget) as exc:
+    except (ModelError, fileio.FileFormatError, InvalidParams, PermutationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # internal fault, including any other ValueError: never expected

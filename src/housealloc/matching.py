@@ -156,30 +156,13 @@ class OptimalMatching:
         removed = sorted(rj for rj, w in row.items() if w == 0)
         for rj in removed:
             del row[rj]
-        h = self.mate[li]
-        if h in row:
+        if self.mate[li] in row:
             # The matched edge survived, so the optimum did too.
             weight = self.weight
-            kept = weight >= min_weight
         else:
-            # li's matched edge had weight 0 and is gone; h is now the only
-            # free right vertex, and one search from li finds the new optimum.
-            self.owner[h] = -1
-            found = self._search(li)
-            weight = None
-            if found is not None:
-                # The path's reduced costs telescope: its non-matched edges
-                # sum to settled[end] and its matched edges are tight, so
-                # augmenting adds 1 - settled[end] - u[li] - v[end].
-                end, settled, prev = found
-                weight = self.weight + 1 - (settled[end] + self.u[li] + self.v[end])
-            kept = weight is not None and weight >= min_weight
-            if kept:
-                # The duals change only here, so a rejection needs no undo.
-                self._augment(li, end, settled, prev)
-                self.weight = weight
-            else:
-                self.owner[h] = li
+            # li's matched edge had weight 0 and is gone.
+            weight = self._rematch(li, self.weight, min_weight)
+        kept = weight is not None and weight >= min_weight
         if not kept:
             for rj in removed:
                 row[rj] = 0
@@ -206,8 +189,7 @@ class OptimalMatching:
         Setting ``u[li]`` to the smallest reduced cost on the new row keeps
         the duals feasible, and every other matched edge stays tight.  So if
         li's matched edge is still present and tight the optimum stands;
-        otherwise one search from li, as in :meth:`drop_zero_edges`, finds
-        the new one.
+        otherwise one search from li finds the new one.
         """
         rows, u, v = self.graph.rows, self.u, self.v
         h = self.mate[li]
@@ -217,15 +199,31 @@ class OptimalMatching:
         if h in row and 1 - row[h] - u[li] - v[h] == 0:
             self.weight = rest + row[h]
             return True
+        return self._rematch(li, rest, 0) is not None
+
+    def _rematch(self, li: int, rest: int, min_weight: int) -> int | None:
+        """Free li's house, the only free right vertex then, and find the new
+        optimum by one search from li; ``rest`` is the weight of the other
+        matched edges.  Returns the optimum's weight, or None if there is no
+        perfect matching, and adopts it iff that is at least ``min_weight``."""
+        h = self.mate[li]
         self.owner[h] = -1
         found = self._search(li)
         if found is None:
-            return False
+            self.owner[h] = li
+            return None
         end, settled, prev = found
-        # The path telescopes as in drop_zero_edges.
-        self.weight = rest + 1 - (settled[end] + u[li] + v[end])
-        self._augment(li, end, settled, prev)
-        return True
+        # The path's reduced costs telescope: its non-matched edges sum to
+        # settled[end] and its matched edges are tight, so the optimum after
+        # augmenting weighs rest + 1 - settled[end] - u[li] - v[end].
+        weight = rest + 1 - (settled[end] + self.u[li] + self.v[end])
+        if weight >= min_weight:
+            # The duals change only here, so a rejection needs no undo.
+            self._augment(li, end, settled, prev)
+            self.weight = weight
+        else:
+            self.owner[h] = li
+        return weight
 
     def _cycle(self, start: int, fixed: int, target: int, dead: set[int]) -> list | None:
         """Tight alternating path from left vertex ``start`` to right vertex

@@ -28,10 +28,10 @@ so that lex-min optimum does not depend on which optimum the walk started
 from or passed through.
 
 For the same reason a misreport needs no solve of its own
-(:func:`run_misreports`): it changes only the reporter's row, so each
-report's run starts from a copy of the truthful optimum with the new row
-swapped in and repaired by at most one search, and ends exactly where a
-cold run would.
+(:class:`Solved`): it changes only the reporter's row, so each report's
+run starts from a copy of the truthful optimum with the new row swapped in
+and repaired by at most one search, and ends exactly where a cold run
+would.
 
 Graph shape (k = |n - m| dummies pad the short side):
 
@@ -213,24 +213,22 @@ def build_graph(instance: Instance, mechanism: Mechanism) -> WeightedBipartiteGr
 
 
 def serial_refinement(
-    graph: WeightedBipartiteGraph,
-    permutation: tuple[str, ...],
-    optimum: OptimalMatching,
+    permutation: tuple[str, ...], optimum: OptimalMatching
 ) -> tuple[Matching, dict[str, int], tuple[RoundRecord, ...]]:
     """Process agents in order, locking in acceptable houses where possible.
 
-    ``optimum`` is the solver's optimum of ``graph``, duals included; its
+    ``optimum`` is the solver's optimum of its graph, duals included; its
     weight is the target W.  For each agent: drop all its weight-0 edges and
     keep the drop (flag 1) iff a perfect matching of weight W survives;
     otherwise put the edges back (flag 0).  Each round is decided from the
     optimum carried over from the round before, as the module docstring
-    describes.  Mutates ``graph`` and ``optimum`` in place and returns the
+    describes.  Mutates ``optimum`` and its graph in place and returns the
     final, lexicographically smallest optimum alongside the flags and the
     per-round log.
     """
     target = optimum.weight
-    right = graph.right
-    index = {label: i for i, label in enumerate(graph.left)}
+    right = optimum.graph.right
+    index = {label: i for i, label in enumerate(optimum.graph.left)}
     flags: dict[str, int] = {}
     rounds: list[RoundRecord] = []
     for agent in permutation:
@@ -252,24 +250,7 @@ def run_mechanism(
     return _refine(instance, _solve(instance, mechanism), policy.realize(instance.agents))
 
 
-def run_misreports(
-    instance: Instance,
-    mechanism: Mechanism,
-    agent: str,
-    reports: Iterable[frozenset[str]],
-    policy: PermutationPolicy | None = None,
-) -> Iterator[MechanismResult]:
-    """The runs on ``instance`` with ``agent`` reporting each of ``reports``
-    in turn, one result per report, produced lazily.
-
-    Each equals ``run_mechanism(instance.with_report(agent, reported),
-    mechanism, policy)``, but the graph is built and solved only once, for
-    the truthful reports; see :class:`_Solved`.
-    """
-    return _Solved(instance, mechanism, policy).misreports(agent, reports)
-
-
-class _Solved:
+class Solved:
     """The mechanism graph of an instance, solved once, as the warm start of
     the truthful run and of every run with one agent's report changed;
     each run refines its own copy of the optimum."""
@@ -277,7 +258,10 @@ class _Solved:
     __slots__ = ("instance", "mechanism", "optimum", "permutation")
 
     def __init__(
-        self, instance: Instance, mechanism: Mechanism, policy: PermutationPolicy | None
+        self,
+        instance: Instance,
+        mechanism: Mechanism,
+        policy: PermutationPolicy | None = None,
     ) -> None:
         policy = policy or PermutationPolicy.identity()
         self.instance = instance
@@ -286,11 +270,16 @@ class _Solved:
         self.permutation = policy.realize(instance.agents)
 
     def truthful(self) -> MechanismResult:
+        """The run on the truthful reports, equal to :func:`run_mechanism`."""
         return _refine(self.instance, self.optimum.copy(), self.permutation)
 
     def misreports(
         self, agent: str, reports: Iterable[frozenset[str]]
     ) -> Iterator[MechanismResult]:
+        """The runs with ``agent`` reporting each of ``reports`` in turn, one
+        result per report, produced lazily.  Each equals
+        ``run_mechanism(instance.with_report(agent, reported), mechanism,
+        policy)``."""
         instance, mechanism = self.instance, self.mechanism
         size = len(self.optimum.graph.right)
         for reported in reports:
@@ -316,7 +305,7 @@ def _refine(
     """Everything a run does after the full solve: the refinement walk, the
     lex-min allocation, the trace and the postconditions."""
     target = optimum.weight
-    final, flags, rounds = serial_refinement(optimum.graph, permutation, optimum)
+    final, flags, rounds = serial_refinement(permutation, optimum)
     allocation = _extract_allocation(instance, final)
     trace = MechanismTrace(
         initial_weight=target,

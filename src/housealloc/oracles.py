@@ -21,23 +21,25 @@ The misreport sweep is the one check that runs the mechanism itself, on
 every report of every agent.  It solves the mechanism graph once per
 sweep: each report swaps the reporter's row into a copy of that optimum
 and repairs it with at most one search (see
-:func:`housealloc.mechanisms.run_misreports`), with the same results as a
-cold run per report.  Its witnesses are re-checked by two cold runs.
+:class:`housealloc.mechanisms.Solved`), with the same results as a cold
+run per report.  Its witnesses are re-checked by two cold runs.
 
-The two exhaustive searches left, the welfare maxima and the misreport
-sweep, are bounded by a :class:`SizeBudget`; exceeding a budget raises
-:class:`BudgetExceeded` rather than silently truncating.
+The two exhaustive searches left have fixed size limits: the welfare
+enumeration takes at most ``MAX_ALLOC_AGENTS`` x ``MAX_ALLOC_HOUSES``
+and the misreport sweep at most ``MAX_MISREPORT_HOUSES`` houses.  A larger
+input raises :class:`BudgetExceeded` rather than being silently
+truncated.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from .mechanisms import Mechanism, PermutationPolicy, _Solved, run_mechanism
+from .mechanisms import Mechanism, PermutationPolicy, Solved, run_mechanism
 from .model import (
     Allocation,
     Instance,
+    InvalidAllocation,
     UnknownAgent,
     UnknownHouse,
     satisfied_set,
@@ -48,47 +50,15 @@ from .model import (
 
 PROPERTY_KEYS = ("ir", "sir", "po", "core", "strict-core", "maxw", "maxw-ir", "maxw-sir")
 
+# Size limits of the two exhaustive searches: the enumeration behind
+# welfare_maxima and the 2^m-report sweep of check_strategyproofness.
+MAX_ALLOC_AGENTS = 8
+MAX_ALLOC_HOUSES = 8
+MAX_MISREPORT_HOUSES = 6
+
 
 class BudgetExceeded(ValueError):
     """Instance too large for the requested exhaustive search."""
-
-
-class InvalidBudget(ValueError):
-    """A HOUSEALLOC_MAX_* environment variable is not an integer."""
-
-
-@dataclass(frozen=True)
-class SizeBudget:
-    """Limits for the exhaustive searches.
-
-    ``max_alloc_*`` bound only the allocation enumeration of
-    :func:`welfare_maxima` (and the CLI ``report`` pre-check made for it);
-    ``max_misreport_houses`` bounds the 2^m report sweep per agent.  The
-    Pareto, core and strict-core checks are polynomial and take no budget.
-    """
-
-    max_alloc_agents: int = 8
-    max_alloc_houses: int = 8
-    max_misreport_houses: int = 6
-
-    _ENV_FIELDS = {
-        "max_alloc_agents": "HOUSEALLOC_MAX_ALLOC_AGENTS",
-        "max_alloc_houses": "HOUSEALLOC_MAX_ALLOC_HOUSES",
-        "max_misreport_houses": "HOUSEALLOC_MAX_MISREPORT_HOUSES",
-    }
-
-    @classmethod
-    def from_env(cls) -> "SizeBudget":
-        """Defaults, overridden by HOUSEALLOC_MAX_* environment variables."""
-        overrides = {}
-        for attr, var in cls._ENV_FIELDS.items():
-            raw = os.environ.get(var)
-            if raw is not None:
-                try:
-                    overrides[attr] = int(raw)
-                except ValueError:
-                    raise InvalidBudget(f"{var}={raw!r} is not an integer") from None
-        return cls(**overrides)
 
 
 # --------------------------------------------------------------------------
@@ -281,19 +251,18 @@ class WelfareMaxima:
     sir_argmax: Allocation
 
 
-def welfare_maxima(instance: Instance, budget: SizeBudget | None = None) -> WelfareMaxima:
+def welfare_maxima(instance: Instance) -> WelfareMaxima:
     """Maximum welfare over all, all IR, and all S-IR allocations.
 
     One exhaustive pass over every injective partial assignment of houses
     to agents (unacceptable assignments included, so the IR and S-IR
     predicates are applied literally).  Independent of the matching module.
     """
-    budget = budget or SizeBudget.from_env()
     n, m = instance.num_agents, instance.num_houses
-    if n > budget.max_alloc_agents or m > budget.max_alloc_houses:
+    if n > MAX_ALLOC_AGENTS or m > MAX_ALLOC_HOUSES:
         raise BudgetExceeded(
             f"allocation enumeration over {n} agents x {m} houses exceeds the "
-            f"budget of {budget.max_alloc_agents} x {budget.max_alloc_houses}"
+            f"budget of {MAX_ALLOC_AGENTS} x {MAX_ALLOC_HOUSES}"
         )
 
     acc_mask = [
@@ -362,7 +331,7 @@ def welfare_maxima(instance: Instance, budget: SizeBudget | None = None) -> Welf
 
 def max_welfare(instance: Instance) -> int:
     """Maximum number of simultaneously satisfiable agents, via maximum
-    cardinality matching in the acceptability graph.  No size budget."""
+    cardinality matching in the acceptability graph.  No size limit."""
     return max_welfare_allocation(instance)[0]
 
 
@@ -519,7 +488,6 @@ def check_strategyproofness(
     instance: Instance,
     mechanism: Mechanism,
     policy: PermutationPolicy | None = None,
-    budget: SizeBudget | None = None,
 ) -> ManipulationWitness | None:
     """Exhaustively try every report of every agent; return the first report
     that strictly raises the reporting agent's true utility, if any.
@@ -529,14 +497,12 @@ def check_strategyproofness(
     solved once; the truthful run and every misreport run start from that
     optimum, each report with one row swap and at most one search.
     """
-    budget = budget or SizeBudget.from_env()
     m = instance.num_houses
-    if m > budget.max_misreport_houses:
+    if m > MAX_MISREPORT_HOUSES:
         raise BudgetExceeded(
-            f"misreport sweep over {m} houses exceeds the budget "
-            f"of {budget.max_misreport_houses}"
+            f"misreport sweep over {m} houses exceeds the budget of {MAX_MISREPORT_HOUSES}"
         )
-    solved = _Solved(instance, mechanism, policy)
+    solved = Solved(instance, mechanism, policy)
     truthful = solved.truthful()
     houses = instance.houses
     every_report = [
@@ -562,6 +528,16 @@ def check_strategyproofness(
 
 # --------------------------------------------------------------------------
 # Witness re-verification (kept separate from the searches above)
+
+
+def _is_valid(instance: Instance, allocation: Allocation) -> bool:
+    """Whether a witness's allocation is one of the instance's: known agents,
+    known houses, no house given twice."""
+    try:
+        validate_allocation(instance, allocation)
+    except InvalidAllocation:
+        return False
+    return True
 
 
 def verify_violation_witness(
@@ -593,7 +569,8 @@ def verify_domination_witness(
     instance: Instance, allocation: Allocation, witness: DominationWitness
 ) -> bool:
     other = witness.allocation
-    validate_allocation(instance, other)
+    if not _is_valid(instance, other):
+        return False
     strict = False
     for agent in instance.agents:
         u_old = utility(instance, agent, allocation.house_of(agent))
@@ -673,6 +650,8 @@ def verify_welfare_gap_witness(
     """The exemplar attains the claimed target under the claimed constraint."""
     if welfare(instance, allocation) != witness.achieved:
         return False
+    if not _is_valid(instance, witness.exemplar):
+        return False
     if welfare(instance, witness.exemplar) != witness.target:
         return False
     if constraint == "ir":
@@ -689,24 +668,20 @@ def verify_welfare_gap_witness(
 
 
 def evaluate_properties(
-    instance: Instance,
-    allocation: Allocation,
-    properties: tuple[str, ...],
-    budget: SizeBudget | None = None,
+    instance: Instance, allocation: Allocation, properties: tuple[str, ...]
 ) -> PropertyReport:
     """Evaluate the requested property keys against one allocation.
 
     The welfare keys share one branch; only ``maxw-ir`` and ``maxw-sir``
     run (at most once) the enumeration behind :func:`welfare_maxima`.
     """
-    budget = budget or SizeBudget.from_env()
     verdicts: dict[str, Verdict] = {}
     maxima: WelfareMaxima | None = None
 
     def constrained_maxima() -> WelfareMaxima:
         nonlocal maxima
         if maxima is None:
-            maxima = welfare_maxima(instance, budget)
+            maxima = welfare_maxima(instance)
         return maxima
 
     targets = {

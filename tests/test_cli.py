@@ -164,13 +164,6 @@ def test_run_undecodable_file_is_input_error(tmp_path):
     assert main(["run", str(src), "--mechanism", "msir"]) == 2
 
 
-def test_bad_budget_variable_is_input_error(monkeypatch):
-    monkeypatch.setenv("HOUSEALLOC_MAX_ALLOC_AGENTS", "eight")
-    e1 = str(FIXTURES / "e1.json")
-    assert main(["verify", e1, e1, "--properties", "ir"]) == 2
-    assert main(["report", "--trials", "1"]) == 2
-
-
 def test_negative_report_size_is_input_error():
     # trial 0 draws n from 0..max_agents, which needs max_agents >= 0
     assert main(["report", "--trials", "1", "--max-agents", "-1"]) == 2
@@ -311,14 +304,37 @@ def test_verify_unknown_property_is_input_error(tmp_path):
                  "--properties", "ir,sparkle"]) == 2
 
 
-def test_verify_budget_exceeded_is_exit_4(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOUSEALLOC_MAX_ALLOC_AGENTS", "2")
+def test_verify_budget_exceeded_is_exit_4(tmp_path):
+    # 9 x 9 is past the welfare enumeration's fixed 8 x 8 limit
+    src = tmp_path / "nine.json"
+    assert main(["gen", "--agents", "9", "--houses", "9", "--endow-prob", "0.5",
+                 "--accept-prob", "0.5", "--seed", "3", "--output", str(src)]) == 0
+    agents = loads_instance(src.read_text()).agents
+    alloc = write_allocation(tmp_path, src, dict.fromkeys(agents))
+    assert main(["verify", str(src), str(alloc), "--properties", "maxw-ir"]) == 4
+
+
+@pytest.mark.parametrize("value", ["2", "eight"])
+def test_size_limits_ignore_the_environment(tmp_path, monkeypatch, capsys, value):
+    # the oracles' limits are fixed: the variables that once overrode them
+    # change neither the exit code nor a byte of output
+    names = ("HOUSEALLOC_MAX_ALLOC_AGENTS", "HOUSEALLOC_MAX_ALLOC_HOUSES",
+             "HOUSEALLOC_MAX_MISREPORT_HOUSES")
     alloc = write_allocation(
         tmp_path, FIXTURES / "e3.json",
         {"1": None, "2": None, "3": None, "4": None},
     )
-    assert main(["verify", str(FIXTURES / "e3.json"), str(alloc),
-                 "--properties", "maxw-ir"]) == 4
+    commands = (
+        ["verify", str(FIXTURES / "e3.json"), str(alloc), "--properties", "maxw-ir"],
+        ["report", "--trials", "1", "--out-dir", str(tmp_path / "cx")],
+    )
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    unset = [run_cli(*argv, capsys=capsys) for argv in commands]
+    for name in names:
+        monkeypatch.setenv(name, value)
+    assert [run_cli(*argv, capsys=capsys) for argv in commands] == unset
+    assert [code for code, _, _ in unset] == [1, 0]
 
 
 def test_run_output_passes_verify_for_guaranteed_properties(tmp_path, capsys):
@@ -437,10 +453,10 @@ def test_report_budget_violation_is_exit_4(capsys):
     assert code == 4
 
 
-def test_report_sp_budget_check(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("HOUSEALLOC_MAX_MISREPORT_HOUSES", "3")
+def test_report_sp_budget_check(capsys, tmp_path):
+    # 7 houses are past the misreport sweep's fixed limit of 6
     code, _, _ = run_cli("report", "--trials", "1", "--max-agents", "4",
-                         "--max-houses", "4", "--sp", "on",
+                         "--max-houses", "7", "--sp", "on",
                          "--out-dir", str(tmp_path), capsys=capsys)
     assert code == 4
 

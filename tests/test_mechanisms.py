@@ -110,7 +110,7 @@ def test_dummy_labels_avoid_collisions():
 
 def test_refinement_e2_msir_rejects_both(e2):
     g = build_graph(e2, Mechanism.MSIR)
-    final, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
+    final, flags, rounds = serial_refinement(("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 0, "2": 0}
     assert rounds[0].removed == ("h1",)
     assert rounds[0].weight is None  # pinning 1 to h2 starves agent 2
@@ -124,7 +124,7 @@ def test_refinement_e2_msir_rejects_both(e2):
 
 def test_refinement_e2_mir_locks_agent1(e2):
     g = build_graph(e2, Mechanism.MIR)
-    final, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
+    final, flags, rounds = serial_refinement(("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 1, "2": 0}
     assert rounds[0].accepted and rounds[0].weight == 1
     assert not rounds[1].accepted and rounds[1].weight is None
@@ -138,7 +138,7 @@ def test_refinement_all_weight_one_removes_nothing():
         {"1": {"h1", "h2"}, "2": {"h1", "h2"}},
     )
     g = build_graph(inst, Mechanism.MIR)
-    _, flags, rounds = serial_refinement(g, ("1", "2"), max_weight_perfect_matching(g))
+    _, flags, rounds = serial_refinement(("1", "2"), max_weight_perfect_matching(g))
     assert flags == {"1": 1, "2": 1}
     assert all(r.removed == () for r in rounds)
 
@@ -183,7 +183,7 @@ def test_run_rotates_to_lex_min_once(monkeypatch):
 def test_refinement_rejects_unknown_agent(e2):
     g = build_graph(e2, Mechanism.MSIR)
     with pytest.raises(PermutationError):
-        serial_refinement(g, ("1", "nope"), max_weight_perfect_matching(g))
+        serial_refinement(("1", "nope"), max_weight_perfect_matching(g))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from housealloc.mechanisms import Mechanism, run_mechanism
 from housealloc.model import Allocation, validate_instance, welfare
 from housealloc.oracles import (
     BudgetExceeded,
-    SizeBudget,
+    DominationWitness,
     check_strategyproofness,
     evaluate_properties,
     is_core_stable,
@@ -25,6 +25,13 @@ from housealloc.oracles import (
 from conftest import random_allocation
 import reference_core
 import reference_po
+
+# Not allocations of e2: an unknown agent, an unknown house, a house given twice.
+FAKE_E2_ALLOCATIONS = (
+    Allocation({"zz": "h1"}),
+    Allocation({"1": "h9"}),
+    Allocation({"1": "h1", "2": "h1"}),
+)
 
 X_E1 = Allocation({"1": "h2", "2": "h3", "3": "h1", "4": "h4", "5": "h5"})
 Y_E1 = Allocation({"1": "h2", "2": "h3", "3": "h1", "4": "h5", "5": "h6"})
@@ -89,6 +96,9 @@ def test_po_examples(e1, e2):
     assert verify_domination_witness(e2, endow_only, verdict2.witness)
     # the witness satisfies agent 1 via h2
     assert verdict2.witness.allocation.house_of("1") == "h2"
+    # fabricated allocations are rejected, not raised
+    for fake in FAKE_E2_ALLOCATIONS:
+        assert not verify_domination_witness(e2, endow_only, DominationWitness(fake))
 
 
 def test_po_brute_budget():
@@ -222,7 +232,6 @@ def test_welfare_maxima_budget():
     inst = random_instance(GenParams(9, 9, 0.5, 0.5, 3))
     with pytest.raises(BudgetExceeded):
         welfare_maxima(inst)
-    assert welfare_maxima(inst, SizeBudget(max_alloc_agents=9, max_alloc_houses=9))
 
 
 def test_welfare_maxima_argmaxes_satisfy_their_constraints():
@@ -397,9 +406,6 @@ def test_welfare_gap_witness_re_verifies(e2):
     assert verify_welfare_gap_witness(e2, endow_only, gap, "ir")
     inflated = WelfareGapWitness(achieved=0, target=2, exemplar=gap.exemplar)
     assert not verify_welfare_gap_witness(e2, endow_only, inflated, "ir")
-
-
-def test_budget_from_env(monkeypatch):
-    monkeypatch.setenv("HOUSEALLOC_MAX_ALLOC_AGENTS", "4")
-    budget = SizeBudget.from_env()
-    assert budget == SizeBudget(max_alloc_agents=4, max_alloc_houses=8, max_misreport_houses=6)
+    for fake in FAKE_E2_ALLOCATIONS:
+        forged = WelfareGapWitness(achieved=gap.achieved, target=gap.target, exemplar=fake)
+        assert not verify_welfare_gap_witness(e2, endow_only, forged, "ir")

@@ -73,7 +73,7 @@ def test_every_round_equals_reference_re_solve(mech):
         )
         graph = build_graph(instance, mech)
         optimum = max_weight_perfect_matching(graph)
-        final, flags, rounds = serial_refinement(graph, permutation, optimum)
+        final, flags, rounds = serial_refinement(permutation, optimum)
         got = [(r.agent, r.removed, r.weight, r.accepted) for r in rounds]
         assert got == expected_rounds, (instance, policy)
         assert final.assignment == expected_final

@@ -13,12 +13,7 @@ import pytest
 
 import housealloc.mechanisms as mechanisms
 from housealloc.gen import random_instance, trial_params
-from housealloc.mechanisms import (
-    Mechanism,
-    PermutationPolicy,
-    run_mechanism,
-    run_misreports,
-)
+from housealloc.mechanisms import Mechanism, PermutationPolicy, Solved, run_mechanism
 from housealloc.model import UnknownAgent, UnknownHouse
 from housealloc.oracles import check_strategyproofness
 import reference_sp
@@ -62,7 +57,7 @@ def test_warm_runs_equal_cold_runs():
             agent = instance.agents[trial % instance.num_agents]
             reports = _every_report(instance)
             for mech in Mechanism:
-                warm = run_misreports(instance, mech, agent, reports, policy)
+                warm = Solved(instance, mech, policy).misreports(agent, reports)
                 for reported, result in zip(reports, warm, strict=True):
                     twisted = reference_sp.misreport(instance, agent, reported)
                     assert result == run_mechanism(twisted, mech, policy), (trial, reported)
@@ -87,13 +82,14 @@ def test_one_solve_per_sweep(monkeypatch):
             assert len(calls) == 1
             if instance.agents:
                 calls.clear()
-                for _ in run_misreports(instance, mech, instance.agents[0], _every_report(instance)):
+                solved = Solved(instance, mech)
+                for _ in solved.misreports(instance.agents[0], _every_report(instance)):
                     pass
                 assert len(calls) == 1
 
 
 def test_misreports_reject_unknown_names(e2):
     with pytest.raises(UnknownAgent):
-        next(run_misreports(e2, Mechanism.MSIR, "nope", [frozenset()]))
+        next(Solved(e2, Mechanism.MSIR).misreports("nope", [frozenset()]))
     with pytest.raises(UnknownHouse):
-        next(run_misreports(e2, Mechanism.MSIR, "1", [frozenset({"h9"})]))
+        next(Solved(e2, Mechanism.MSIR).misreports("1", [frozenset({"h9"})]))
