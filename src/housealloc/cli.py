@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from . import fileio, oracles
 from .gen import GenParams, InvalidParams, random_instance, trial_params
@@ -44,11 +45,21 @@ def _read_text(path: str) -> str:
         raise fileio.FileFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """Report a failure to write ``path`` as an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise fileio.FileFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with _writing(path):
+            Path(path).write_text(text, encoding="utf-8")
 
 
 def _parse_seed(text: str, flag: str, error: type[ValueError]) -> int:
@@ -68,10 +79,7 @@ def _parse_permutation(spec: str) -> PermutationPolicy:
         )
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        try:
-            order = json.loads(_read_text(path))
-        except json.JSONDecodeError as exc:
-            raise PermutationError(f"permutation file {path}: {exc}") from exc
+        order = fileio.load_json(_read_text(path), f"permutation file {path}", PermutationError)
         if not isinstance(order, list) or not all(isinstance(a, str) for a in order):
             raise PermutationError(f"permutation file {path} must hold a list of agent ids")
         return PermutationPolicy.explicit(tuple(order))
@@ -230,7 +238,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"{prop.ljust(width)}  {cells[0]:>8}  {cells[1]:>8}")
 
     if counterexamples:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
         print("counterexamples:")
         for (mech, prop), found in sorted(
             counterexamples.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
@@ -238,12 +247,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             stem = f"{mech.value}_{prop}"
             instance = found["instance"]
             result = found["result"]
-            (out_dir / f"{stem}_instance.json").write_text(
-                fileio.dumps_instance(instance), encoding="utf-8"
-            )
-            (out_dir / f"{stem}_allocation.json").write_text(
+            _write_text(out_dir / f"{stem}_instance.json", fileio.dumps_instance(instance))
+            _write_text(
+                out_dir / f"{stem}_allocation.json",
                 fileio.dumps_allocation(instance, result.allocation, result.trace),
-                encoding="utf-8",
             )
             witness_doc = {
                 "mechanism": mech.value,
@@ -251,9 +258,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "trial": found["trial"],
                 "witness": fileio.witness_to_doc(found["witness"]),
             }
-            (out_dir / f"{stem}_witness.json").write_text(
+            _write_text(
+                out_dir / f"{stem}_witness.json",
                 json.dumps(witness_doc, indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8",
             )
             print(f"  {mech.value}/{prop}: trial {found['trial']} -> {out_dir / stem}_*.json")
     return EXIT_OK

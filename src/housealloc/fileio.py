@@ -41,6 +41,15 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
         raise FileFormatError(f"{where}: missing key(s) {sorted(missing)}")
 
 
+def load_json(text: str, prefix: str, error: type[ValueError]) -> Any:
+    """``json.loads(text)``, raising ``error`` ("``prefix``: reason") for
+    text that is not JSON or nests too deeply to decode."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{prefix}: {exc}") from exc
+
+
 def dumps_instance(instance: Instance) -> str:
     agents = []
     for a in instance.agents:
@@ -53,10 +62,7 @@ def dumps_instance(instance: Instance) -> str:
 
 
 def loads_instance(text: str) -> Instance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from exc
+    doc = load_json(text, "not valid JSON", FileFormatError)
     if not isinstance(doc, dict):
         raise FileFormatError("instance document must be a JSON object")
     _require_keys(doc, {"agents", "houses"}, set(), "instance document")
@@ -148,10 +154,7 @@ def loads_allocation(
     Returns the allocation, the stated welfare (verified against the
     recomputed value) and the raw trace object if one was present.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from exc
+    doc = load_json(text, "not valid JSON", FileFormatError)
     if not isinstance(doc, dict):
         raise FileFormatError("allocation document must be a JSON object")
     _require_keys(doc, {"allocation", "welfare"}, {"trace"}, "allocation document")

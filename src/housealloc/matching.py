@@ -1,18 +1,21 @@
-"""Maximum-weight perfect matching on balanced bipartite graphs.
+"""Maximum-weight perfect matching on square bipartite graphs given as rows.
 
-Edges have weight 0 or 1.  The solver finds a minimum-cost perfect matching
-for the cost ``1 - weight`` by successive shortest paths with dual
-potentials (Tomizawa; Edmonds and Karp): every free left vertex is matched
-by one Dijkstra search over the reduced costs ``cost - u[left] -
-v[right]``, along each left vertex's own adjacency.  The duals stay
-feasible (no reduced cost below zero) and every matched edge stays tight
-(reduced cost zero).  Costs are small non-negative integers, so zero
-potentials are feasible at the start and no arithmetic grows with the
-graph.  A left vertex with no path to a free right vertex means that no
-perfect matching exists.
+``rows[li]`` maps each right neighbour rj of left vertex li to the weight,
+0 or 1, of the edge; the right vertices are ``range(len(rows))``.  Vertices
+are bare indices: naming them is the caller's business.
 
-The solver returns its live state, an :class:`OptimalMatching`: the
-matching, its weight and the duals that prove it optimal.  That state
+The solver finds a minimum-cost perfect matching for the cost ``1 -
+weight`` by successive shortest paths with dual potentials (Tomizawa;
+Edmonds and Karp): every free left vertex is matched by one Dijkstra search
+over the reduced costs ``cost - u[left] - v[right]``, along each left
+vertex's own row.  The duals stay feasible (no reduced cost below zero) and
+every matched edge stays tight (reduced cost zero).  Costs are small
+non-negative integers, so zero potentials are feasible at the start and no
+arithmetic grows with the graph.  A left vertex with no path to a free
+right vertex means that no perfect matching exists.
+
+The solver returns its live state, an :class:`OptimalMatching`: the rows,
+the matching, its weight and the duals that prove it optimal.  That state
 stays optimal while left vertices lose their weight-0 edges: deleting
 edges keeps the duals feasible, so an optimum that survives the deletion
 needs no work, and one that loses its edge needs a single search from the
@@ -32,56 +35,28 @@ the searches reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 
-class UnbalancedGraph(ValueError):
-    """Left and right sides differ in size; pad with dummies first."""
-
-
-@dataclass
-class WeightedBipartiteGraph:
-    """Bipartite graph with labelled vertices and {0,1} edge weights.
-
-    Vertices are addressed by index into ``left`` / ``right``; labels exist
-    for reporting.  ``rows[li]`` maps each right neighbour of left vertex
-    li to the weight of the edge.
-    """
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    rows: list[dict[int, int]]
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A perfect matching: ``assignment[i]`` is the right index paired with
-    left vertex i; ``weight`` is the sum of matched edge weights."""
-
-    assignment: tuple[int, ...]
-    weight: int
-
-
 class OptimalMatching:
-    """A maximum-weight perfect matching of a graph plus duals proving it
-    optimal, kept optimal while edges of the graph are deleted.
+    """A maximum-weight perfect matching of the graph ``rows`` plus duals
+    proving it optimal, kept optimal while edges of the graph are deleted.
 
     ``mate[li]`` is the right vertex of left vertex li and ``owner[rj]`` the
-    left vertex of right vertex rj (-1 while free).  The duals ``u``, ``v``
-    satisfy ``1 - weight - u[li] - v[rj] >= 0`` on every edge, with
-    equality on matched edges.  The graph is shared, not copied (except by
-    :meth:`copy`): it changes only through :meth:`drop_zero_edges` and
-    :meth:`swap_row`.
+    left vertex of right vertex rj (-1 while free); ``weight`` is the sum of
+    the matched edges' weights.  The duals ``u``, ``v`` satisfy ``1 -
+    weight - u[li] - v[rj] >= 0`` on every edge, with equality on matched
+    edges.  The rows are shared, not copied (except by :meth:`copy`): they
+    change only through :meth:`drop_zero_edges` and :meth:`swap_row`.
     """
 
-    __slots__ = ("graph", "mate", "owner", "u", "v", "weight")
+    __slots__ = ("rows", "mate", "owner", "u", "v", "weight")
 
-    def __init__(self, graph: WeightedBipartiteGraph, u: list[int]) -> None:
-        """The empty matching of ``graph`` under the duals ``u`` and v = 0;
+    def __init__(self, rows: list[dict[int, int]], u: list[int]) -> None:
+        """The empty matching of ``rows`` under the duals ``u`` and v = 0;
         :func:`max_weight_perfect_matching` fills it."""
-        size = len(graph.left)
-        self.graph = graph
+        size = len(rows)
+        self.rows = rows
         self.mate = [-1] * size
         self.owner = [-1] * size
         self.u, self.v = u, [0] * size
@@ -95,7 +70,7 @@ class OptimalMatching:
         settled on the way and the left vertex each was reached from; None
         if no free right vertex is reachable.
         """
-        rows, owner, u, v = self.graph.rows, self.owner, self.u, self.v
+        rows, owner, u, v = self.rows, self.owner, self.u, self.v
         settled: dict[int, int] = {}
         best: dict[int, int] = {}
         prev: dict[int, int] = {}
@@ -152,7 +127,7 @@ class OptimalMatching:
         weight is at least ``min_weight``.  Otherwise the edges go back and
         the matching and duals are left as they were.
         """
-        row = self.graph.rows[li]
+        row = self.rows[li]
         removed = sorted(rj for rj, w in row.items() if w == 0)
         for rj in removed:
             del row[rj]
@@ -169,13 +144,10 @@ class OptimalMatching:
         return removed, weight, kept
 
     def copy(self) -> OptimalMatching:
-        """An independent copy: the graph's rows and the matching state are
-        both copied, so refining one leaves the other as it was."""
-        graph = self.graph
+        """An independent copy: the rows and the matching state are both
+        copied, so refining one leaves the other as it was."""
         twin = OptimalMatching.__new__(OptimalMatching)
-        twin.graph = WeightedBipartiteGraph(
-            graph.left, graph.right, [dict(row) for row in graph.rows]
-        )
+        twin.rows = [dict(row) for row in self.rows]
         twin.mate, twin.owner = self.mate[:], self.owner[:]
         twin.u, twin.v = self.u[:], self.v[:]
         twin.weight = self.weight
@@ -191,7 +163,7 @@ class OptimalMatching:
         li's matched edge is still present and tight the optimum stands;
         otherwise one search from li finds the new one.
         """
-        rows, u, v = self.graph.rows, self.u, self.v
+        rows, u, v = self.rows, self.u, self.v
         h = self.mate[li]
         rest = self.weight - rows[li][h]  # the weight of the other matched edges
         rows[li] = row
@@ -232,7 +204,7 @@ class OptimalMatching:
         Returns the (left, right) pairs that rotate along it, or None; every
         left vertex visited by a failed search is added to ``dead``.
         """
-        rows, owner, u, v = self.graph.rows, self.owner, self.u, self.v
+        rows, owner, u, v = self.rows, self.owner, self.u, self.v
         dead.add(start)
         stack = [start]
         picks: list[int] = []
@@ -260,13 +232,13 @@ class OptimalMatching:
                     picks.pop()
         return None
 
-    def canonical(self) -> Matching:
-        """Rotate to the lexicographically smallest optimum and return it.
+    def canonical(self) -> None:
+        """Rotate in place to the lexicographically smallest optimum.
 
         Rotating along tight cycles keeps the matching optimal under the same
         duals, so its weight and the duals stand unchanged.
         """
-        rows, mate, owner, u, v = self.graph.rows, self.mate, self.owner, self.u, self.v
+        rows, mate, owner, u, v = self.rows, self.mate, self.owner, self.u, self.v
         for li in range(len(mate)):
             target = mate[li]
             base = 1 - u[li]
@@ -281,35 +253,28 @@ class OptimalMatching:
                     for left, right in path:
                         mate[left], owner[right] = right, left
                     break
-        return Matching(tuple(mate), self.weight)
 
 
-def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> OptimalMatching | None:
-    """A maximum-weight perfect matching of ``graph`` with its duals, or
-    None if no perfect matching exists.
+def max_weight_perfect_matching(rows: list[dict[int, int]]) -> OptimalMatching | None:
+    """A maximum-weight perfect matching of the square graph ``rows`` with
+    its duals, or None if no perfect matching exists.
 
     The optimum returned is whichever the searches reached; call
     :meth:`OptimalMatching.canonical` for the lexicographically smallest.
     """
-    size = len(graph.left)
-    if size != len(graph.right):
-        raise UnbalancedGraph(
-            f"graph has {size} left and {len(graph.right)} right vertices"
-        )
-    rows = graph.rows
     if not all(rows):
         return None
     # u[li] = cheapest edge of li: feasible with v = 0, and it makes every
     # left vertex's cheapest edges tight, so most are matched greedily.
     u = [1 - max(row.values()) for row in rows]
-    state = OptimalMatching(graph, u)
+    state = OptimalMatching(rows, u)
     mate, owner = state.mate, state.owner
     for li, row in enumerate(rows):
         for rj, w in row.items():
             if 1 - w == u[li] and owner[rj] < 0:
                 mate[li], owner[rj] = rj, li
                 break
-    for li in range(size):
+    for li in range(len(rows)):
         if mate[li] < 0:
             found = state._search(li)
             if found is None:

@@ -33,7 +33,9 @@ run starts from a copy of the truthful optimum with the new row swapped in
 and repaired by at most one search, and ends exactly where a cold run
 would.
 
-Graph shape (k = |n - m| dummies pad the short side):
+Graph shape: max(n, m) vertices a side.  Left vertex i < n is agent i,
+right vertex j < m is house j, and unnamed dummies pad the short side (a
+trace names dummy houses by :func:`_right_labels`).  The edges:
 
 * an agent is *free* when it has no endowment, or, under MIR, when its
   endowment is unacceptable.  A free agent is connected to every right
@@ -55,12 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
-from .matching import (
-    Matching,
-    OptimalMatching,
-    WeightedBipartiteGraph,
-    max_weight_perfect_matching,
-)
+from .matching import OptimalMatching, max_weight_perfect_matching
 from .model import Allocation, Instance, satisfied_set
 from .rng import SplitMix64
 
@@ -151,30 +148,19 @@ class MechanismResult:
     trace: MechanismTrace
 
 
-def _fresh_labels(prefix: str, count: int, taken: set[str]) -> list[str]:
-    # Dummy labels must not collide with user-chosen ids.
-    labels: list[str] = []
-    k = 0
-    while len(labels) < count:
-        candidate = f"{prefix}{k}"
-        k += 1
-        if candidate in taken:
-            continue
-        labels.append(candidate)
-        taken.add(candidate)
-    return labels
-
-
-def _padded_sides(instance: Instance) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    n, m = instance.num_agents, instance.num_houses
+def _right_labels(instance: Instance) -> tuple[str, ...]:
+    """Names of the right vertices as a trace shows them: the houses, then
+    ``~dummy_house_k`` for each dummy house, skipping every k whose label
+    is already an agent or house id."""
     taken = set(instance.agents) | set(instance.houses)
-    left = list(instance.agents)
-    right = list(instance.houses)
-    if m > n:
-        left.extend(_fresh_labels("~dummy_agent_", m - n, taken))
-    elif n > m:
-        right.extend(_fresh_labels("~dummy_house_", n - m, taken))
-    return tuple(left), tuple(right)
+    labels = list(instance.houses)
+    k = 0
+    while len(labels) < instance.num_agents:
+        candidate = f"~dummy_house_{k}"
+        k += 1
+        if candidate not in taken:
+            labels.append(candidate)
+    return tuple(labels)
 
 
 def _agent_row(
@@ -200,35 +186,36 @@ def _agent_row(
     return row
 
 
-def build_graph(instance: Instance, mechanism: Mechanism) -> WeightedBipartiteGraph:
-    """Feasibility graph whose perfect matchings are the S-IR (MSIR) or the
-    IR (MIR) allocations; the shape is the module docstring's rule."""
-    left, right = _padded_sides(instance)
-    size = len(right)
+def build_graph(instance: Instance, mechanism: Mechanism) -> list[dict[int, int]]:
+    """Rows of the feasibility graph whose perfect matchings are the S-IR
+    (MSIR) or the IR (MIR) allocations; the shape is the module docstring's
+    rule."""
+    size = max(instance.num_agents, instance.num_houses)
     rows = [_agent_row(instance, agent, mechanism, size) for agent in instance.agents]
-    rows.extend(  # dummy agents
-        dict.fromkeys(range(size), 0) for _ in range(len(left) - len(rows))
-    )
-    return WeightedBipartiteGraph(left, right, rows)
+    rows.extend(dict.fromkeys(range(size), 0) for _ in range(size - len(rows)))  # dummy agents
+    return rows
 
 
 def serial_refinement(
-    permutation: tuple[str, ...], optimum: OptimalMatching
-) -> tuple[Matching, dict[str, int], tuple[RoundRecord, ...]]:
+    instance: Instance,
+    permutation: tuple[str, ...],
+    optimum: OptimalMatching,
+    labels: tuple[str, ...],
+) -> tuple[dict[str, int], tuple[RoundRecord, ...]]:
     """Process agents in order, locking in acceptable houses where possible.
 
-    ``optimum`` is the solver's optimum of its graph, duals included; its
-    weight is the target W.  For each agent: drop all its weight-0 edges and
-    keep the drop (flag 1) iff a perfect matching of weight W survives;
-    otherwise put the edges back (flag 0).  Each round is decided from the
-    optimum carried over from the round before, as the module docstring
-    describes.  Mutates ``optimum`` and its graph in place and returns the
-    final, lexicographically smallest optimum alongside the flags and the
-    per-round log.
+    ``optimum`` is the solver's optimum of the mechanism graph of
+    ``instance``, duals included; its weight is the target W.  For each
+    agent: drop all its weight-0 edges and keep the drop (flag 1) iff a
+    perfect matching of weight W survives; otherwise put the edges back
+    (flag 0).  Each round is decided from the optimum carried over from the
+    round before, as the module docstring describes, and records the
+    removed right vertices by their ``labels``.  Mutates ``optimum`` and its
+    rows in place, leaving it at the lexicographically smallest optimum, and
+    returns the flags and the per-round log.
     """
     target = optimum.weight
-    right = optimum.graph.right
-    index = {label: i for i, label in enumerate(optimum.graph.left)}
+    index = instance.agent_index
     flags: dict[str, int] = {}
     rounds: list[RoundRecord] = []
     for agent in permutation:
@@ -236,8 +223,9 @@ def serial_refinement(
             raise PermutationError(f"permutation names unknown agent {agent!r}")
         removed, weight, accepted = optimum.drop_zero_edges(index[agent], target)
         flags[agent] = 1 if accepted else 0
-        rounds.append(RoundRecord(agent, tuple(right[rj] for rj in removed), weight, accepted))
-    return optimum.canonical(), flags, tuple(rounds)
+        rounds.append(RoundRecord(agent, tuple(labels[rj] for rj in removed), weight, accepted))
+    optimum.canonical()
+    return flags, tuple(rounds)
 
 
 def run_mechanism(
@@ -247,15 +235,17 @@ def run_mechanism(
 ) -> MechanismResult:
     """Run MSIR or MIR end to end and return the allocation plus its trace."""
     policy = policy or PermutationPolicy.identity()
-    return _refine(instance, _solve(instance, mechanism), policy.realize(instance.agents))
+    optimum = _solve(instance, mechanism)
+    return _refine(instance, optimum, policy.realize(instance.agents), _right_labels(instance))
 
 
 class Solved:
     """The mechanism graph of an instance, solved once, as the warm start of
     the truthful run and of every run with one agent's report changed;
-    each run refines its own copy of the optimum."""
+    each run refines its own copy of the optimum.  The runs share the
+    right-vertex labels, since a report changes no agent or house."""
 
-    __slots__ = ("instance", "mechanism", "optimum", "permutation")
+    __slots__ = ("instance", "labels", "mechanism", "optimum", "permutation")
 
     def __init__(
         self,
@@ -268,10 +258,11 @@ class Solved:
         self.mechanism = mechanism
         self.optimum = _solve(instance, mechanism)
         self.permutation = policy.realize(instance.agents)
+        self.labels = _right_labels(instance)
 
     def truthful(self) -> MechanismResult:
         """The run on the truthful reports, equal to :func:`run_mechanism`."""
-        return _refine(self.instance, self.optimum.copy(), self.permutation)
+        return _refine(self.instance, self.optimum.copy(), self.permutation, self.labels)
 
     def misreports(
         self, agent: str, reports: Iterable[frozenset[str]]
@@ -281,14 +272,14 @@ class Solved:
         ``run_mechanism(instance.with_report(agent, reported), mechanism,
         policy)``."""
         instance, mechanism = self.instance, self.mechanism
-        size = len(self.optimum.graph.right)
+        size = len(self.optimum.rows)
         for reported in reports:
             twisted = instance.with_report(agent, reported)
             optimum = self.optimum.copy()
             row = _agent_row(twisted, agent, mechanism, size)
             if not optimum.swap_row(instance.agent_index[agent], row):
                 raise InfeasibleInput("mechanism graph admits no perfect matching")
-            yield _refine(twisted, optimum, self.permutation)
+            yield _refine(twisted, optimum, self.permutation, self.labels)
 
 
 def _solve(instance: Instance, mechanism: Mechanism) -> OptimalMatching:
@@ -300,13 +291,16 @@ def _solve(instance: Instance, mechanism: Mechanism) -> OptimalMatching:
 
 
 def _refine(
-    instance: Instance, optimum: OptimalMatching, permutation: tuple[str, ...]
+    instance: Instance,
+    optimum: OptimalMatching,
+    permutation: tuple[str, ...],
+    labels: tuple[str, ...],
 ) -> MechanismResult:
     """Everything a run does after the full solve: the refinement walk, the
     lex-min allocation, the trace and the postconditions."""
     target = optimum.weight
-    final, flags, rounds = serial_refinement(permutation, optimum)
-    allocation = _extract_allocation(instance, final)
+    flags, rounds = serial_refinement(instance, permutation, optimum, labels)
+    allocation = _extract_allocation(instance, optimum)
     trace = MechanismTrace(
         initial_weight=target,
         permutation=permutation,
@@ -317,11 +311,11 @@ def _refine(
     return MechanismResult(allocation=allocation, trace=trace)
 
 
-def _extract_allocation(instance: Instance, final: Matching) -> Allocation:
+def _extract_allocation(instance: Instance, optimum: OptimalMatching) -> Allocation:
     m = instance.num_houses
     assignment: dict[str, str | None] = {}
     for ai, agent in enumerate(instance.agents):
-        rj = final.assignment[ai]
+        rj = optimum.mate[ai]
         assignment[agent] = instance.houses[rj] if rj < m else None
     return Allocation(assignment=assignment)
 

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -45,9 +46,27 @@ def make_e3():
     )
 
 
-def has_perfect_matching(graph):
+def has_perfect_matching(rows):
     """True iff a perfect matching exists; edge weights are irrelevant."""
-    return max_weight_perfect_matching(graph) is not None
+    return max_weight_perfect_matching(rows) is not None
+
+
+def brute_force_optimum(rows):
+    """Try every assignment sequence of the square graph ``rows`` in
+    lexicographic order; keep the first one attaining the maximum weight.
+    Returns (weight, assignment) or None."""
+    best = None
+    for perm in itertools.permutations(range(len(rows))):
+        weight = 0
+        for li, rj in enumerate(perm):
+            w = rows[li].get(rj)
+            if w is None:
+                break
+            weight += w
+        else:
+            if best is None or weight > best[0]:
+                best = (weight, perm)
+    return best
 
 
 def random_allocation(inst, salt):
@@ -68,16 +87,16 @@ def random_allocation(inst, salt):
 
 
 def assert_certified(optimum):
-    """Assert that an ``OptimalMatching`` is a perfect matching of its graph,
+    """Assert that an ``OptimalMatching`` is a perfect matching of its rows,
     of its stated weight, whose duals prove it optimal: every edge has
     reduced cost ``1 - w - u[li] - v[rj] >= 0``, every matched edge 0."""
-    graph, mate, u, v = optimum.graph, optimum.mate, optimum.u, optimum.v
-    size = len(graph.left)
-    assert len(mate) == len(u) == len(v) == size == len(graph.right)
+    rows, mate, u, v = optimum.rows, optimum.mate, optimum.u, optimum.v
+    size = len(rows)
+    assert len(mate) == len(u) == len(v) == size
     assert sorted(mate) == list(range(size)), "assignment is not a permutation"
     assert all(optimum.owner[rj] == li for li, rj in enumerate(mate))
     total = 0
-    for li, row in enumerate(graph.rows):
+    for li, row in enumerate(rows):
         w = row.get(mate[li])
         assert w is not None, f"left vertex {li} is matched along no edge"
         assert 1 - w - u[li] - v[mate[li]] == 0, f"matched edge of {li} is not tight"

@@ -67,11 +67,11 @@ def _solve_min_cost(cost: list[list[int]]) -> list[int]:
     return row_to_col
 
 
-def reference_optimum(graph) -> tuple[int, tuple[int, ...]] | None:
-    """(weight, lexicographically smallest max-weight perfect matching) of a
-    ``WeightedBipartiteGraph``, or None if it has no perfect matching."""
-    size = len(graph.left)
-    assert size == len(graph.right)
+def reference_optimum(rows) -> tuple[int, tuple[int, ...]] | None:
+    """(weight, lexicographically smallest max-weight perfect matching) of
+    the square graph ``rows`` (``rows[li]``: right index -> weight), or None
+    if it has no perfect matching."""
+    size = len(rows)
     if size == 0:
         return 0, ()
     scale = size**size
@@ -79,7 +79,7 @@ def reference_optimum(graph) -> tuple[int, tuple[int, ...]] | None:
     position = [size ** (size - 1 - i) for i in range(size)]
     cost = [[forbidden] * size for _ in range(size)]
     weights = {}
-    for li, row in enumerate(graph.rows):
+    for li, row in enumerate(rows):
         for rj, w in row.items():
             cost[li][rj] = -w * scale + rj * position[li]
             weights[(li, rj)] = w

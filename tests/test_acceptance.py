@@ -9,7 +9,6 @@ documented schedule (housealloc.gen.trial_params).
 
 import contextlib
 import io
-import itertools
 import time
 from pathlib import Path
 
@@ -23,13 +22,13 @@ from housealloc.fileio import (
     loads_instance,
 )
 from housealloc.gen import random_instance, trial_params
-from housealloc.matching import WeightedBipartiteGraph, max_weight_perfect_matching
+from housealloc.matching import max_weight_perfect_matching
 from housealloc.mechanisms import Mechanism, run_mechanism
 from housealloc.model import Allocation, welfare
 from housealloc import oracles
 from housealloc.rng import SplitMix64
 
-from conftest import has_perfect_matching, make_e1, make_e2, make_e3
+from conftest import brute_force_optimum, has_perfect_matching, make_e1, make_e2, make_e3
 import reference_po
 
 MASTER_SEED = 0
@@ -187,51 +186,32 @@ def test_criterion_5_strategyproofness_sweep():
     _verdict(5, "strategyproofness sweep", ok, detail)
 
 
-def _brute_force_optimum(graph):
-    size = len(graph.left)
-    best = None
-    for perm in itertools.permutations(range(size)):
-        total = 0
-        for li, rj in enumerate(perm):
-            w = graph.rows[li].get(rj)
-            if w is None:
-                break
-            total += w
-        else:
-            if best is None or total > best[0]:
-                best = (total, perm)
-    return best
-
-
 def test_criterion_6_solver_oracle_equivalence():
     rng = SplitMix64(MASTER_SEED + 6)
     graphs = 500
     mismatches = 0
     for _ in range(graphs):
         size = rng.bounded(5)  # |V| = 2 * size <= 8
-        g = WeightedBipartiteGraph(
-            tuple(f"l{i}" for i in range(size)),
-            tuple(f"r{j}" for j in range(size)),
-            [{} for _ in range(size)],
-        )
+        g = [{} for _ in range(size)]
         density = 0.3 + 0.6 * rng.float01()
         for li in range(size):
             for rj in range(size):
                 if rng.bernoulli(density):
-                    g.rows[li][rj] = 1 if rng.bernoulli(0.5) else 0
-        brute = _brute_force_optimum(g)
+                    g[li][rj] = 1 if rng.bernoulli(0.5) else 0
+        brute = brute_force_optimum(g)
         optimum = max_weight_perfect_matching(g)
-        solved = optimum.canonical() if optimum is not None else None
+        if optimum is not None:
+            optimum.canonical()
         feasible = has_perfect_matching(g)
         if brute is None:
-            if solved is not None or feasible:
+            if optimum is not None or feasible:
                 mismatches += 1
         else:
             if (
-                solved is None
+                optimum is None
                 or not feasible
-                or solved.weight != brute[0]
-                or solved.assignment != brute[1]
+                or optimum.weight != brute[0]
+                or tuple(optimum.mate) != brute[1]
             ):
                 mismatches += 1
     _verdict(

@@ -11,7 +11,6 @@ from housealloc.fileio import (
     loads_allocation,
     loads_instance,
 )
-from housealloc.matching import UnbalancedGraph
 from housealloc.mechanisms import InfeasibleInput
 from housealloc.model import Allocation
 
@@ -215,7 +214,7 @@ def test_largest_seed_is_accepted(tmp_path):
                  "--max-houses", "2", "--out-dir", str(tmp_path / "cx")]) == 0
 
 
-@pytest.mark.parametrize("fault", [UnbalancedGraph, InfeasibleInput, ValueError])
+@pytest.mark.parametrize("fault", [InfeasibleInput, ValueError])
 def test_internal_value_errors_are_internal_errors(monkeypatch, capsys, fault):
     # Solver and mechanism faults subclass ValueError, yet no input causes
     # them; they must not be reported as bad input.
@@ -226,6 +225,42 @@ def test_internal_value_errors_are_internal_errors(monkeypatch, capsys, fault):
     code = main(["run", str(FIXTURES / "e2.json"), "--mechanism", "msir"])
     assert code == 3
     assert "internal error: solver fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["instance", "allocation", "permutation"])
+def test_over_nested_json_is_input_error(tmp_path, capsys, role):
+    # json.loads gives up on this with a RecursionError, not a decode error
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    e2 = str(FIXTURES / "e2.json")
+    argv = {
+        "instance": ["run", str(deep), "--mechanism", "msir"],
+        "allocation": ["verify", e2, str(deep), "--properties", "ir"],
+        "permutation": ["run", e2, "--mechanism", "msir", "--permutation", f"file:{deep}"],
+    }[role]
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "recursion" in err
+
+
+@pytest.mark.parametrize("command", ["run", "gen", "verify", "report"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "no-such-dir" / "out.json")
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    e2 = str(FIXTURES / "e2.json")
+    alloc = write_allocation(tmp_path, e2, {"1": "h1", "2": "h2"})
+    argv = {
+        "run": ["run", e2, "--mechanism", "msir", "--output", missing],
+        "gen": ["gen", "--agents", "2", "--houses", "2", "--endow-prob", "0.5",
+                "--accept-prob", "0.5", "--seed", "1", "--output", missing],
+        "verify": ["verify", e2, str(alloc), "--properties", "ir", "--json", missing],
+        "report": ["report", "--trials", "50", "--seed", "5", "--max-agents", "4",
+                   "--max-houses", "4", "--out-dir", str(a_file)],
+    }[command]
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write ")
 
 
 # ---------------------------------------------------------------------------

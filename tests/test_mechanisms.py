@@ -1,11 +1,12 @@
 import pytest
 
 from housealloc.gen import random_instance, trial_params
-from housealloc.matching import Matching, OptimalMatching, max_weight_perfect_matching
+from housealloc.matching import OptimalMatching, max_weight_perfect_matching
 from housealloc.mechanisms import (
     Mechanism,
     PermutationError,
     PermutationPolicy,
+    _right_labels,
     build_graph,
     run_mechanism,
     serial_refinement,
@@ -15,17 +16,27 @@ from housealloc import oracles
 from conftest import has_perfect_matching
 
 
-def labelled_edges(graph):
+def labelled_edges(instance, rows):
+    """The agents' edges as (agent, right label, weight)."""
+    right = _right_labels(instance)
     return {
-        (graph.left[li], graph.right[rj], w)
-        for li, row in enumerate(graph.rows)
+        (agent, right[rj], w)
+        for agent, row in zip(instance.agents, rows)
         for rj, w in row.items()
     }
 
 
-def edges_of_agent(graph, agent):
-    li = list(graph.left).index(agent)
-    return {(graph.right[rj], w) for rj, w in graph.rows[li].items()}
+def edges_of_agent(instance, rows, agent):
+    right = _right_labels(instance)
+    return {(right[rj], w) for rj, w in rows[instance.agent_index[agent]].items()}
+
+
+def refine(instance, mechanism, permutation):
+    """Solve the mechanism graph and refine it in ``permutation`` order;
+    returns the refined optimum, the flags and the rounds."""
+    optimum = max_weight_perfect_matching(build_graph(instance, mechanism))
+    flags, rounds = serial_refinement(instance, permutation, optimum, _right_labels(instance))
+    return optimum, flags, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -34,13 +45,11 @@ def edges_of_agent(graph, agent):
 
 def test_msir_graph_e1_structure(e1):
     g = build_graph(e1, Mechanism.MSIR)
-    assert len(g.left) == len(g.right) == 6  # one dummy agent pads 5 vs 6
-    dummies = [v for v in g.left if v not in e1.agents]
-    assert len(dummies) == 1
-    assert edges_of_agent(g, "4") == {("h4", 0), ("h5", 1)}
-    assert edges_of_agent(g, dummies[0]) == {(h, 0) for h in e1.houses}
+    assert len(g) == 6  # one dummy agent pads 5 vs 6
+    assert g[5] == dict.fromkeys(range(6), 0)  # the dummy agent reaches every house
+    assert edges_of_agent(e1, g, "4") == {("h4", 0), ("h5", 1)}
     # unendowed agent 5 reaches every house
-    assert edges_of_agent(g, "5") == {
+    assert edges_of_agent(e1, g, "5") == {
         ("h1", 0), ("h2", 0), ("h3", 0), ("h4", 0), ("h5", 1), ("h6", 1)
     }
 
@@ -48,17 +57,17 @@ def test_msir_graph_e1_structure(e1):
 def test_msir_graph_own_acceptable_house_single_edge():
     inst = validate_instance(["1"], ["h1"], {"1": "h1"}, {"1": {"h1"}})
     g = build_graph(inst, Mechanism.MSIR)
-    assert labelled_edges(g) == {("1", "h1", 1)}
+    assert labelled_edges(inst, g) == {("1", "h1", 1)}
 
 
 def test_msir_graph_e2_edges(e2):
     g = build_graph(e2, Mechanism.MSIR)
-    assert labelled_edges(g) == {("1", "h1", 0), ("1", "h2", 1), ("2", "h2", 0)}
+    assert labelled_edges(e2, g) == {("1", "h1", 0), ("1", "h2", 1), ("2", "h2", 0)}
 
 
 def test_mir_graph_e2_edges(e2):
     g = build_graph(e2, Mechanism.MIR)
-    assert labelled_edges(g) == {
+    assert labelled_edges(e2, g) == {
         ("1", "h1", 0), ("1", "h2", 1), ("2", "h1", 0), ("2", "h2", 0)
     }
 
@@ -68,16 +77,16 @@ def test_mir_graph_acceptable_endowment_edges_only_acceptable():
         ["1", "2"], ["h1", "h2"], {"1": "h1", "2": "h2"}, {"1": {"h1"}, "2": set()}
     )
     g = build_graph(inst, Mechanism.MIR)
-    assert edges_of_agent(g, "1") == {("h1", 1)}
+    assert edges_of_agent(inst, g, "1") == {("h1", 1)}
 
 
 def test_mir_graph_e1_all_agents_reach_every_house(e1):
     # every endowed agent of E1 dislikes its own house, so MIR frees them all
     g = build_graph(e1, Mechanism.MIR)
     for agent in e1.agents:
-        houses = {h for h, _ in edges_of_agent(g, agent)}
+        houses = {h for h, _ in edges_of_agent(e1, g, agent)}
         assert houses == set(e1.houses)
-        weights = dict(edges_of_agent(g, agent))
+        weights = dict(edges_of_agent(e1, g, agent))
         for h in e1.houses:
             assert weights[h] == (1 if h in e1.acceptable[agent] else 0)
 
@@ -91,17 +100,27 @@ def test_builders_always_feasible():
         inst = random_instance(trial_params(31, trial, 6, 6))
         for mech in Mechanism:
             g = build_graph(inst, mech)
-            assert len(g.left) == len(g.right)
+            size = max(inst.num_agents, inst.num_houses)
+            assert len(g) == size and all(rj < size for row in g for rj in row)
             assert max_weight_perfect_matching(g) is not None
 
 
-def test_dummy_labels_avoid_collisions():
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_dummy_house_labels_avoid_user_ids(mech):
+    # the dummy house's label skips ~dummy_house_0 (a house) and
+    # ~dummy_house_1 (an agent)
     inst = validate_instance(
-        ["a", "~dummy_agent_0"], ["h"], {}, {"a": {"h"}, "~dummy_agent_0": set()}
+        ["~dummy_house_1", "b"],
+        ["~dummy_house_0"],
+        {},
+        {"~dummy_house_1": {"~dummy_house_0"}, "b": set()},
     )
-    g = build_graph(inst, Mechanism.MSIR)  # needs one dummy agent; name must not clash
-    assert len(set(g.left)) == 2 + 0 or len(set(g.left)) == len(g.left)
-    assert len(g.left) == len(set(g.left))
+    result = run_mechanism(inst, mech)
+    assert [r.removed for r in result.trace.rounds] == [
+        ("~dummy_house_2",),
+        ("~dummy_house_0", "~dummy_house_2"),
+    ]
+    assert result.allocation.assignment == {"~dummy_house_1": "~dummy_house_0", "b": None}
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +128,7 @@ def test_dummy_labels_avoid_collisions():
 
 
 def test_refinement_e2_msir_rejects_both(e2):
-    g = build_graph(e2, Mechanism.MSIR)
-    final, flags, rounds = serial_refinement(("1", "2"), max_weight_perfect_matching(g))
+    optimum, flags, rounds = refine(e2, Mechanism.MSIR, ("1", "2"))
     assert flags == {"1": 0, "2": 0}
     assert rounds[0].removed == ("h1",)
     assert rounds[0].weight is None  # pinning 1 to h2 starves agent 2
@@ -118,17 +136,16 @@ def test_refinement_e2_msir_rejects_both(e2):
     assert rounds[1].removed == ("h2",)
     assert rounds[1].weight is None
     # both removals were rolled back
-    assert g == build_graph(e2, Mechanism.MSIR)
-    assert final == Matching(assignment=(0, 1), weight=0)
+    assert optimum.rows == build_graph(e2, Mechanism.MSIR)
+    assert (optimum.weight, optimum.mate) == (0, [0, 1])
 
 
 def test_refinement_e2_mir_locks_agent1(e2):
-    g = build_graph(e2, Mechanism.MIR)
-    final, flags, rounds = serial_refinement(("1", "2"), max_weight_perfect_matching(g))
+    optimum, flags, rounds = refine(e2, Mechanism.MIR, ("1", "2"))
     assert flags == {"1": 1, "2": 0}
     assert rounds[0].accepted and rounds[0].weight == 1
     assert not rounds[1].accepted and rounds[1].weight is None
-    assert final == Matching(assignment=(1, 0), weight=1)
+    assert (optimum.weight, optimum.mate) == (1, [1, 0])
 
 
 def test_refinement_all_weight_one_removes_nothing():
@@ -137,8 +154,7 @@ def test_refinement_all_weight_one_removes_nothing():
         {},
         {"1": {"h1", "h2"}, "2": {"h1", "h2"}},
     )
-    g = build_graph(inst, Mechanism.MIR)
-    _, flags, rounds = serial_refinement(("1", "2"), max_weight_perfect_matching(g))
+    _, flags, rounds = refine(inst, Mechanism.MIR, ("1", "2"))
     assert flags == {"1": 1, "2": 1}
     assert all(r.removed == () for r in rounds)
 
@@ -148,9 +164,9 @@ def test_run_solves_from_scratch_once(monkeypatch):
 
     calls = []
 
-    def counting(graph):
-        calls.append(graph)
-        return max_weight_perfect_matching(graph)
+    def counting(rows):
+        calls.append(rows)
+        return max_weight_perfect_matching(rows)
 
     monkeypatch.setattr(mechanisms, "max_weight_perfect_matching", counting)
     for trial in range(40):
@@ -181,9 +197,8 @@ def test_run_rotates_to_lex_min_once(monkeypatch):
 
 
 def test_refinement_rejects_unknown_agent(e2):
-    g = build_graph(e2, Mechanism.MSIR)
     with pytest.raises(PermutationError):
-        serial_refinement(("1", "nope"), max_weight_perfect_matching(g))
+        refine(e2, Mechanism.MSIR, ("1", "nope"))
 
 
 # ---------------------------------------------------------------------------

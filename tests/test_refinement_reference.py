@@ -17,6 +17,7 @@ from housealloc.matching import max_weight_perfect_matching
 from housealloc.mechanisms import (
     Mechanism,
     PermutationPolicy,
+    _right_labels,
     build_graph,
     serial_refinement,
 )
@@ -24,24 +25,24 @@ from conftest import assert_certified
 from reference_solver import reference_optimum
 
 
-def reference_refinement(graph, permutation):
+def reference_refinement(instance, rows, permutation):
     """(rounds as (agent, removed, weight, accepted), final assignment)."""
-    target, _ = reference_optimum(graph)
-    index = {label: i for i, label in enumerate(graph.left)}
+    target, _ = reference_optimum(rows)
+    right = _right_labels(instance)
     rounds = []
     for agent in permutation:
-        row = graph.rows[index[agent]]
+        row = rows[instance.agent_index[agent]]
         removed = sorted(rj for rj, w in row.items() if w == 0)
         for rj in removed:
             del row[rj]
-        solved = reference_optimum(graph)
+        solved = reference_optimum(rows)
         weight = None if solved is None else solved[0]
         accepted = weight is not None and weight >= target
         if not accepted:
             row.update(dict.fromkeys(removed, 0))
-        removed = tuple(graph.right[rj] for rj in removed)
+        removed = tuple(right[rj] for rj in removed)
         rounds.append((agent, removed, weight, accepted))
-    final = reference_optimum(graph)
+    final = reference_optimum(rows)
     assert final is not None and final[0] == target
     return rounds, final[1]
 
@@ -69,15 +70,14 @@ def test_every_round_equals_reference_re_solve(mech):
             continue
         permutation = policy.realize(instance.agents)
         expected_rounds, expected_final = reference_refinement(
-            build_graph(instance, mech), permutation
+            instance, build_graph(instance, mech), permutation
         )
-        graph = build_graph(instance, mech)
-        optimum = max_weight_perfect_matching(graph)
-        final, flags, rounds = serial_refinement(permutation, optimum)
+        optimum = max_weight_perfect_matching(build_graph(instance, mech))
+        labels = _right_labels(instance)
+        flags, rounds = serial_refinement(instance, permutation, optimum, labels)
         got = [(r.agent, r.removed, r.weight, r.accepted) for r in rounds]
         assert got == expected_rounds, (instance, policy)
-        assert final.assignment == expected_final
-        assert final.assignment == tuple(optimum.mate)
+        assert tuple(optimum.mate) == expected_final
         assert_certified(optimum)
         assert flags == {r[0]: int(r[3]) for r in expected_rounds}
         checked += 1
