@@ -43,10 +43,12 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
 
 def load_json(text: str, prefix: str, error: type[ValueError]) -> Any:
     """``json.loads(text)``, raising ``error`` ("``prefix``: reason") for
-    text that is not JSON or nests too deeply to decode."""
+    text that is not JSON, nests too deeply to decode or holds an integer
+    literal too long to convert (a plain ``ValueError``, of which
+    ``JSONDecodeError`` is a subclass)."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{prefix}: {exc}") from exc
 
 

@@ -164,13 +164,16 @@ def _right_labels(instance: Instance) -> tuple[str, ...]:
 
 
 def _agent_row(
-    instance: Instance, agent: str, mechanism: Mechanism, size: int
+    instance: Instance,
+    own: str | None,
+    acc: frozenset[str],
+    mechanism: Mechanism,
+    size: int,
 ) -> dict[int, int]:
-    """The row of ``agent`` over ``size`` right vertices, by the module
+    """The row over ``size`` right vertices of an agent of ``instance`` with
+    endowment ``own`` that reports ``acc`` acceptable, by the module
     docstring's rule."""
     hidx = instance.house_index
-    own = instance.endowment_of(agent)
-    acc = instance.acceptable[agent]
     liked = own in acc
     msir = mechanism is Mechanism.MSIR
     if own is None or not (msir or liked):
@@ -191,7 +194,11 @@ def build_graph(instance: Instance, mechanism: Mechanism) -> list[dict[int, int]
     (MSIR) or the IR (MIR) allocations; the shape is the module docstring's
     rule."""
     size = max(instance.num_agents, instance.num_houses)
-    rows = [_agent_row(instance, agent, mechanism, size) for agent in instance.agents]
+    acceptable = instance.acceptable
+    rows = [
+        _agent_row(instance, instance.endowment_of(a), acceptable[a], mechanism, size)
+        for a in instance.agents
+    ]
     rows.extend(dict.fromkeys(range(size), 0) for _ in range(size - len(rows)))  # dummy agents
     return rows
 
@@ -264,6 +271,18 @@ class Solved:
         """The run on the truthful reports, equal to :func:`run_mechanism`."""
         return _refine(self.instance, self.optimum.copy(), self.permutation, self.labels)
 
+    def reaches(self, agent: str, reported: frozenset[str], wanted: frozenset[str]) -> bool:
+        """Whether ``agent``'s graph row under the report ``reported`` has an
+        edge to a house in ``wanted``.  Refinement only deletes edges and the
+        allocation is read from a perfect matching of the refined rows, so
+        when it has none, the run on that report gives the agent no house in
+        ``wanted``."""
+        instance = self.instance
+        size = len(self.optimum.rows)
+        row = _agent_row(instance, instance.endowment_of(agent), reported, self.mechanism, size)
+        hidx = instance.house_index
+        return any(hidx[house] in row for house in wanted)
+
     def misreports(
         self, agent: str, reports: Iterable[frozenset[str]]
     ) -> Iterator[MechanismResult]:
@@ -272,11 +291,12 @@ class Solved:
         ``run_mechanism(instance.with_report(agent, reported), mechanism,
         policy)``."""
         instance, mechanism = self.instance, self.mechanism
+        own = instance.endowment_of(agent)
         size = len(self.optimum.rows)
         for reported in reports:
             twisted = instance.with_report(agent, reported)
             optimum = self.optimum.copy()
-            row = _agent_row(twisted, agent, mechanism, size)
+            row = _agent_row(instance, own, reported, mechanism, size)
             if not optimum.swap_row(instance.agent_index[agent], row):
                 raise InfeasibleInput("mechanism graph admits no perfect matching")
             yield _refine(twisted, optimum, self.permutation, self.labels)

@@ -113,7 +113,8 @@ def validate_instance(
 ) -> Instance:
     """Validate candidate market data and return a normalized Instance.
 
-    Enforces: unique agent and house ids, endowment injective and restricted
+    Enforces: unique agent and house ids that encode as UTF-8 (no lone
+    surrogate, which JSON text may escape), endowment injective and restricted
     to known agents/houses, acceptable sets restricted to known houses.
     Agents absent from ``acceptable`` get an empty set; None endowments are
     treated as absent.
@@ -128,6 +129,11 @@ def validate_instance(
         for x in ids:
             if not isinstance(x, str):
                 raise ModelError(f"{name} id {x!r} is not a string")
+            if not x.isascii():
+                try:
+                    x.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ModelError(f"{name} id {x!r} holds a lone surrogate") from None
             if x in seen:
                 raise exc(f"duplicate {name} id {x!r}")
             seen.add(x)

@@ -18,9 +18,9 @@ is the i-th candidate), found bit by bit from the top with one matching
 per step.
 
 The misreport sweep is the one check that runs the mechanism itself, on
-every report of every agent.  It solves the mechanism graph once per
-sweep: each report swaps the reporter's row into a copy of that optimum
-and repairs it with at most one search (see
+every report of every agent that could pay.  It solves the mechanism graph
+once per sweep: each report swaps the reporter's row into a copy of that
+optimum and repairs it with at most one search (see
 :class:`housealloc.mechanisms.Solved`), with the same results as a cold
 run per report.  Its witnesses are re-checked by two cold runs.
 
@@ -489,13 +489,24 @@ def check_strategyproofness(
     mechanism: Mechanism,
     policy: PermutationPolicy | None = None,
 ) -> ManipulationWitness | None:
-    """Exhaustively try every report of every agent; return the first report
-    that strictly raises the reporting agent's true utility, if any.
+    """Try every report that could pay, agent by agent in bit order; return
+    the first report that strictly raises the reporting agent's true
+    utility, if any.
 
-    Agents already satisfied under truth-telling are skipped: with 1-0
-    utilities they have nothing left to gain.  The mechanism graph is
-    solved once; the truthful run and every misreport run start from that
-    optimum, each report with one row swap and at most one search.
+    No run is made where none can pay.  With 1-0 utilities, agents already
+    satisfied under truth-telling have nothing left to gain, and agents
+    that accept no house have nothing to gain at all.  A report whose
+    mechanism graph row has no edge into the agent's true acceptable set is
+    skipped too (:meth:`Solved.reaches`): the allocation is read from a
+    perfect matching of the refined rows and refinement only deletes
+    edges, so the reporter always ends on a vertex of its own row.  That
+    covers MSIR's pinned row for a report that accepts an endowment the
+    agent truly does not.  Skipping keeps the order of the reports that
+    run, so the first witness is the one the full sweep finds.
+
+    The mechanism graph is solved once; the truthful run and every
+    misreport run start from that optimum, each report with one row swap
+    and at most one search.
     """
     m = instance.num_houses
     if m > MAX_MISREPORT_HOUSES:
@@ -511,9 +522,13 @@ def check_strategyproofness(
     for agent in instance.agents:
         true_set = instance.acceptable[agent]
         got = truthful.allocation.house_of(agent)
-        if got is not None and got in true_set:
+        if not true_set or (got is not None and got in true_set):
             continue
-        reports = [reported for reported in every_report if reported != true_set]
+        reports = [
+            reported
+            for reported in every_report
+            if reported != true_set and solved.reaches(agent, reported, true_set)
+        ]
         for reported, outcome in zip(reports, solved.misreports(agent, reports)):
             landed = outcome.allocation.house_of(agent)
             if landed is not None and landed in true_set:

@@ -227,20 +227,70 @@ def test_internal_value_errors_are_internal_errors(monkeypatch, capsys, fault):
     assert "internal error: solver fault" in capsys.readouterr().err
 
 
+def reading_json(role, path):
+    """Arguments that make the CLI read ``path`` as the JSON of ``role``."""
+    e2 = str(FIXTURES / "e2.json")
+    return {
+        "instance": ["run", str(path), "--mechanism", "msir"],
+        "allocation": ["verify", e2, str(path), "--properties", "ir"],
+        "permutation": ["run", e2, "--mechanism", "msir", "--permutation", f"file:{path}"],
+    }[role]
+
+
 @pytest.mark.parametrize("role", ["instance", "allocation", "permutation"])
 def test_over_nested_json_is_input_error(tmp_path, capsys, role):
     # json.loads gives up on this with a RecursionError, not a decode error
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000 + "]" * 200000)
-    e2 = str(FIXTURES / "e2.json")
-    argv = {
-        "instance": ["run", str(deep), "--mechanism", "msir"],
-        "allocation": ["verify", e2, str(deep), "--properties", "ir"],
-        "permutation": ["run", e2, "--mechanism", "msir", "--permutation", f"file:{deep}"],
-    }[role]
-    code, _, err = run_cli(*argv, capsys=capsys)
+    code, _, err = run_cli(*reading_json(role, deep), capsys=capsys)
     assert code == 2
     assert err.startswith("error: ") and "recursion" in err
+
+
+@pytest.mark.parametrize("role", ["instance", "allocation", "permutation"])
+def test_long_integer_literal_is_input_error(tmp_path, capsys, role):
+    # past CPython's int-to-string limit json.loads raises a plain ValueError
+    long = tmp_path / "long.json"
+    long.write_text("[" + "7" * 5000 + "]")
+    code, _, err = run_cli(*reading_json(role, long), capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "4300" in err
+
+
+def surrogate_instance(tmp_path):
+    """A one-agent market whose agent id is a lone surrogate, which JSON
+    text may escape but UTF-8 cannot encode."""
+    src = tmp_path / "surrogate.json"
+    src.write_text('{"agents": [{"id": "\\ud800", "endowment": null, "acceptable": ["h"]}],'
+                   ' "houses": ["h"]}')
+    return src
+
+
+def test_lone_surrogate_id_is_input_error_on_stdout(tmp_path, capsys):
+    code, out, err = run_cli("run", str(surrogate_instance(tmp_path)), "--mechanism", "msir",
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: agent id") and "surrogate" in err
+
+
+def test_lone_surrogate_id_is_input_error_with_output(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code, _, err = run_cli("run", str(surrogate_instance(tmp_path)), "--mechanism", "msir",
+                           "--output", str(out), capsys=capsys)
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: agent id") and "surrogate" in err
+
+
+def test_duplicate_keys_load_with_the_last_one_winning(tmp_path, capsys):
+    # documented in README: no object_pairs_hook, so a repeated key is not an error
+    src = tmp_path / "dup.json"
+    src.write_text('{"agents": [], "houses": ["h"],'
+                   ' "agents": [{"id": "a", "endowment": null, "acceptable": ["h"],'
+                   ' "acceptable": []}]}')
+    instance = loads_instance(src.read_text())
+    assert instance.agents == ("a",) and instance.acceptable["a"] == frozenset()
+    code, out, _ = run_cli("run", str(src), "--mechanism", "mir", capsys=capsys)
+    assert code == 0 and json.loads(out)["welfare"] == 0
 
 
 @pytest.mark.parametrize("command", ["run", "gen", "verify", "report"])

@@ -5,6 +5,8 @@ report.  ``check_strategyproofness`` solves the truthful graph once and
 carries that optimum to every report with a row swap; it must return the
 same first witness, every warm run must equal the cold run on the
 misreported instance, trace included, and a sweep must solve only once.
+The sweep runs no report that cannot pay: a report it skips must leave the
+agent outside its true set when run cold.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 import housealloc.mechanisms as mechanisms
 from housealloc.gen import random_instance, trial_params
 from housealloc.mechanisms import Mechanism, PermutationPolicy, Solved, run_mechanism
-from housealloc.model import UnknownAgent, UnknownHouse
+from housealloc.model import UnknownAgent, UnknownHouse, validate_instance
 from housealloc.oracles import check_strategyproofness
 import reference_sp
 
@@ -93,3 +95,40 @@ def test_misreports_reject_unknown_names(e2):
         next(Solved(e2, Mechanism.MSIR).misreports("nope", [frozenset()]))
     with pytest.raises(UnknownHouse):
         next(Solved(e2, Mechanism.MSIR).misreports("1", [frozenset({"h9"})]))
+
+
+def test_skipped_reports_cannot_pay():
+    skipped = 0
+    for trial in range(200):
+        instance = random_instance(trial_params(41, trial, 5, 5))
+        reports = _every_report(instance)
+        for mech in Mechanism:
+            solved = Solved(instance, mech)
+            for agent in instance.agents:
+                true_set = instance.acceptable[agent]
+                for reported in reports:
+                    if not true_set or solved.reaches(agent, reported, true_set):
+                        continue
+                    skipped += 1
+                    twisted = reference_sp.misreport(instance, agent, reported)
+                    for policy in (PermutationPolicy.identity(), PermutationPolicy.seeded(trial)):
+                        landed = run_mechanism(twisted, mech, policy).allocation.house_of(agent)
+                        assert landed not in true_set, (trial, mech, agent, reported)
+    assert skipped > 0
+
+
+def test_an_agent_who_accepts_nothing_costs_no_run(monkeypatch):
+    runs = []
+    refine = mechanisms._refine
+
+    def counting(*args):
+        runs.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(mechanisms, "_refine", counting)
+    # "a" is satisfied, "b" is not and accepts nothing: only the truthful run is made
+    instance = validate_instance(["a", "b"], ["h1", "h2"], {"a": "h1"}, {"a": ["h1"]})
+    for mech in Mechanism:
+        runs.clear()
+        assert check_strategyproofness(instance, mech) is None
+        assert len(runs) == 1
