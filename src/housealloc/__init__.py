@@ -12,6 +12,7 @@ from .mechanisms import (
     MechanismResult,
     MechanismTrace,
     PermutationPolicy,
+    Solved,
     run_mechanism,
 )
 from .model import Allocation, Instance, utility, validate_instance, welfare
@@ -33,6 +34,7 @@ __all__ = [
     "MechanismResult",
     "MechanismTrace",
     "PermutationPolicy",
+    "Solved",
     "check_strategyproofness",
     "is_core_stable",
     "is_ir",

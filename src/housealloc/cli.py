@@ -24,6 +24,7 @@ from .mechanisms import (
     MechanismResult,
     PermutationError,
     PermutationPolicy,
+    Solved,
     run_mechanism,
 )
 from .model import Instance, ModelError, welfare
@@ -210,10 +211,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         instance = random_instance(params)
         maxima = oracles.welfare_maxima(instance)
         for mech in mechanisms:
-            result = run_mechanism(instance, mech)
+            solved = Solved(instance, mech)
+            result = solved.truthful
             checks = _report_checks(instance, result, maxima)
             if include_sp:
-                manipulation = oracles.check_strategyproofness(instance, mech)
+                manipulation = oracles.check_strategyproofness(solved)
                 checks["sp"] = oracles.Verdict(manipulation is None, manipulation)
             for prop, verdict in checks.items():
                 if verdict.holds:

@@ -23,7 +23,14 @@ from dataclasses import asdict
 from typing import Any
 
 from .mechanisms import MechanismTrace
-from .model import Allocation, Instance, validate_allocation, validate_instance, welfare
+from .model import (
+    Allocation,
+    Instance,
+    InvalidAllocation,
+    validate_allocation,
+    validate_instance,
+    welfare,
+)
 from . import oracles
 
 
@@ -173,7 +180,7 @@ def loads_allocation(
     allocation = Allocation(assignment=assignment)
     try:
         validate_allocation(instance, allocation)
-    except Exception as exc:
+    except InvalidAllocation as exc:
         raise FileFormatError(str(exc)) from exc
     stated = doc["welfare"]
     if not isinstance(stated, int) or isinstance(stated, bool):

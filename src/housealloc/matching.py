@@ -15,11 +15,12 @@ arithmetic grows with the graph.  A left vertex with no path to a free
 right vertex means that no perfect matching exists.
 
 The solver returns its live state, an :class:`OptimalMatching`: the rows,
-the matching, its weight and the duals that prove it optimal.  That state
-stays optimal while left vertices lose their weight-0 edges: deleting
-edges keeps the duals feasible, so an optimum that survives the deletion
-needs no work, and one that loses its edge needs a single search from the
-vertex that lost it.  The same repair carries an optimum to a graph that
+the matching, its weight and the duals that prove it optimal.  It
+replaces rows and never edits one, so a shallow copy is independent.  It
+stays optimal while left vertices lose their weight-0 edges: deleting edges
+keeps the duals feasible, so an optimum that survives the deletion needs
+no work, and one that loses its edge needs a single search from the vertex
+that lost it.  The same repair carries an optimum to a graph that
 differs in one left vertex's row (:meth:`OptimalMatching.swap_row`): that
 vertex's dual drops to the cheapest reduced cost on its new row, and its
 matched edge either stays tight or gives way to one search.
@@ -46,8 +47,9 @@ class OptimalMatching:
     left vertex of right vertex rj (-1 while free); ``weight`` is the sum of
     the matched edges' weights.  The duals ``u``, ``v`` satisfy ``1 -
     weight - u[li] - v[rj] >= 0`` on every edge, with equality on matched
-    edges.  The rows are shared, not copied (except by :meth:`copy`): they
-    change only through :meth:`drop_zero_edges` and :meth:`swap_row`.
+    edges.  The caller's row list is kept, not copied; :meth:`drop_zero_edges`
+    and :meth:`swap_row` replace its entries and never edit a row dict, so
+    :meth:`copy` is shallow: it copies the list and shares the rows.
     """
 
     __slots__ = ("rows", "mate", "owner", "u", "v", "weight")
@@ -124,14 +126,13 @@ class OptimalMatching:
         Returns the right ends of the deleted edges in ascending order, the
         maximum weight of a perfect matching without them (None if none
         remains) and whether the deletion was kept: it is kept iff that
-        weight is at least ``min_weight``.  Otherwise the edges go back and
-        the matching and duals are left as they were.
+        weight is at least ``min_weight``.  Otherwise the old row goes back
+        and the matching and duals are left as they were.
         """
         row = self.rows[li]
-        removed = sorted(rj for rj, w in row.items() if w == 0)
-        for rj in removed:
-            del row[rj]
-        if self.mate[li] in row:
+        trimmed = {rj: w for rj, w in row.items() if w}
+        self.rows[li] = trimmed
+        if self.mate[li] in trimmed:
             # The matched edge survived, so the optimum did too.
             weight = self.weight
         else:
@@ -139,15 +140,15 @@ class OptimalMatching:
             weight = self._rematch(li, self.weight, min_weight)
         kept = weight is not None and weight >= min_weight
         if not kept:
-            for rj in removed:
-                row[rj] = 0
-        return removed, weight, kept
+            self.rows[li] = row
+        return sorted(rj for rj, w in row.items() if w == 0), weight, kept
 
     def copy(self) -> OptimalMatching:
-        """An independent copy: the rows and the matching state are both
-        copied, so refining one leaves the other as it was."""
+        """An independent copy: the row list and the matching state are
+        copied and the row dicts, never edited, are shared, so refining one
+        leaves the other as it was."""
         twin = OptimalMatching.__new__(OptimalMatching)
-        twin.rows = [dict(row) for row in self.rows]
+        twin.rows = self.rows[:]
         twin.mate, twin.owner = self.mate[:], self.owner[:]
         twin.u, twin.v = self.u[:], self.v[:]
         twin.weight = self.weight

@@ -18,8 +18,8 @@ are carried through the walk, and each round is decided from them:
 * otherwise its matched edge is among the deleted ones: one shortest-path
   search from the agent, warm-started from the duals, gives the exact
   optimum weight after the deletion (or none), which decides the round
-  and is what the trace records.  A rejected round puts the edges back
-  and leaves the optimum and duals untouched.
+  and is what the trace records.  A rejected round puts the agent's old
+  row back and leaves the optimum and duals untouched.
 
 The final allocation is the lexicographically smallest optimum of the
 refined graph, read once from the carried duals at the end.  Under optimal
@@ -27,11 +27,13 @@ duals the optima are exactly the perfect matchings of the tight subgraph,
 so that lex-min optimum does not depend on which optimum the walk started
 from or passed through.
 
-For the same reason a misreport needs no solve of its own
-(:class:`Solved`): it changes only the reporter's row, so each report's
-run starts from a copy of the truthful optimum with the new row swapped in
-and repaired by at most one search, and ends exactly where a cold run
-would.
+For the same reason a misreport needs no solve of its own: it changes
+only the reporter's row, so each report's run starts from a copy of the
+truthful optimum with the new row swapped in and repaired by at most one
+search, and ends exactly where a cold run would.  So every run starts
+from a :class:`Solved`, which solves once and makes the truthful run, all
+that :func:`run_mechanism` returns; ``report`` shares one between its
+property checks and its misreport sweep.
 
 Graph shape: max(n, m) vertices a side.  Left vertex i < n is agent i,
 right vertex j < m is house j, and unnamed dummies pad the short side (a
@@ -217,8 +219,8 @@ def serial_refinement(
     perfect matching of weight W survives; otherwise put the edges back
     (flag 0).  Each round is decided from the optimum carried over from the
     round before, as the module docstring describes, and records the
-    removed right vertices by their ``labels``.  Mutates ``optimum`` and its
-    rows in place, leaving it at the lexicographically smallest optimum, and
+    removed right vertices by their ``labels``.  Mutates ``optimum`` in
+    place, leaving it at the lexicographically smallest optimum, and
     returns the flags and the per-round log.
     """
     target = optimum.weight
@@ -241,18 +243,16 @@ def run_mechanism(
     policy: PermutationPolicy | None = None,
 ) -> MechanismResult:
     """Run MSIR or MIR end to end and return the allocation plus its trace."""
-    policy = policy or PermutationPolicy.identity()
-    optimum = _solve(instance, mechanism)
-    return _refine(instance, optimum, policy.realize(instance.agents), _right_labels(instance))
+    return Solved(instance, mechanism, policy).truthful
 
 
 class Solved:
-    """The mechanism graph of an instance, solved once, as the warm start of
-    the truthful run and of every run with one agent's report changed;
-    each run refines its own copy of the optimum.  The runs share the
-    right-vertex labels, since a report changes no agent or house."""
+    """The mechanism graph of an instance, solved once, and its truthful
+    run ``truthful``; the optimum is the warm start of every run with one
+    agent's report changed, each refining its own copy.  The runs share
+    the right-vertex labels, since a report changes no agent or house."""
 
-    __slots__ = ("instance", "labels", "mechanism", "optimum", "permutation")
+    __slots__ = ("instance", "labels", "mechanism", "optimum", "permutation", "truthful")
 
     def __init__(
         self,
@@ -261,15 +261,15 @@ class Solved:
         policy: PermutationPolicy | None = None,
     ) -> None:
         policy = policy or PermutationPolicy.identity()
+        optimum = max_weight_perfect_matching(build_graph(instance, mechanism))
+        if optimum is None:
+            raise InfeasibleInput("mechanism graph admits no perfect matching")
         self.instance = instance
         self.mechanism = mechanism
-        self.optimum = _solve(instance, mechanism)
+        self.optimum = optimum
         self.permutation = policy.realize(instance.agents)
         self.labels = _right_labels(instance)
-
-    def truthful(self) -> MechanismResult:
-        """The run on the truthful reports, equal to :func:`run_mechanism`."""
-        return _refine(self.instance, self.optimum.copy(), self.permutation, self.labels)
+        self.truthful = _refine(instance, optimum.copy(), self.permutation, self.labels)
 
     def reaches(self, agent: str, reported: frozenset[str], wanted: frozenset[str]) -> bool:
         """Whether ``agent``'s graph row under the report ``reported`` has an
@@ -300,14 +300,6 @@ class Solved:
             if not optimum.swap_row(instance.agent_index[agent], row):
                 raise InfeasibleInput("mechanism graph admits no perfect matching")
             yield _refine(twisted, optimum, self.permutation, self.labels)
-
-
-def _solve(instance: Instance, mechanism: Mechanism) -> OptimalMatching:
-    """Build the mechanism graph and run its one full solve."""
-    optimum = max_weight_perfect_matching(build_graph(instance, mechanism))
-    if optimum is None:
-        raise InfeasibleInput("mechanism graph admits no perfect matching")
-    return optimum
 
 
 def _refine(

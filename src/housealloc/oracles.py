@@ -18,11 +18,11 @@ is the i-th candidate), found bit by bit from the top with one matching
 per step.
 
 The misreport sweep is the one check that runs the mechanism itself, on
-every report of every agent that could pay.  It solves the mechanism graph
-once per sweep: each report swaps the reporter's row into a copy of that
-optimum and repairs it with at most one search (see
-:class:`housealloc.mechanisms.Solved`), with the same results as a cold
-run per report.  Its witnesses are re-checked by two cold runs.
+every report of every agent that could pay.  It takes the mechanism's
+:class:`housealloc.mechanisms.Solved` and solves nothing itself: each
+report swaps the reporter's row into a copy of that optimum and repairs it
+with at most one search, with the same results as a cold run per report.
+Its witnesses are re-checked by two cold runs.
 
 The two exhaustive searches left have fixed size limits: the welfare
 enumeration takes at most ``MAX_ALLOC_AGENTS`` x ``MAX_ALLOC_HOUSES``
@@ -484,14 +484,10 @@ def _first_blocking(
 # Strategyproofness sweep
 
 
-def check_strategyproofness(
-    instance: Instance,
-    mechanism: Mechanism,
-    policy: PermutationPolicy | None = None,
-) -> ManipulationWitness | None:
-    """Try every report that could pay, agent by agent in bit order; return
-    the first report that strictly raises the reporting agent's true
-    utility, if any.
+def check_strategyproofness(solved: Solved) -> ManipulationWitness | None:
+    """Try every report that could pay, agent by agent in bit order, on the
+    instance, mechanism and order of ``solved``; return the first report
+    that strictly raises the reporting agent's true utility, if any.
 
     No run is made where none can pay.  With 1-0 utilities, agents already
     satisfied under truth-telling have nothing left to gain, and agents
@@ -504,24 +500,23 @@ def check_strategyproofness(
     agent truly does not.  Skipping keeps the order of the reports that
     run, so the first witness is the one the full sweep finds.
 
-    The mechanism graph is solved once; the truthful run and every
-    misreport run start from that optimum, each report with one row swap
-    and at most one search.
+    The sweep solves nothing itself: ``solved`` holds the optimum and the
+    truthful run, and every misreport run starts from that optimum with
+    one row swap and at most one search.
     """
+    instance = solved.instance
     m = instance.num_houses
     if m > MAX_MISREPORT_HOUSES:
         raise BudgetExceeded(
             f"misreport sweep over {m} houses exceeds the budget of {MAX_MISREPORT_HOUSES}"
         )
-    solved = Solved(instance, mechanism, policy)
-    truthful = solved.truthful()
     houses = instance.houses
     every_report = [
         frozenset(houses[j] for j in range(m) if (bits >> j) & 1) for bits in range(1 << m)
     ]
     for agent in instance.agents:
         true_set = instance.acceptable[agent]
-        got = truthful.allocation.house_of(agent)
+        got = solved.truthful.allocation.house_of(agent)
         if not true_set or (got is not None and got in true_set):
             continue
         reports = [
@@ -646,7 +641,6 @@ def verify_manipulation_witness(
         twisted = instance.with_report(agent, frozenset(witness.reported))
     except (UnknownAgent, UnknownHouse):
         return False
-    policy = policy or PermutationPolicy.identity()
     true_set = instance.acceptable[agent]
     truthful = run_mechanism(instance, mechanism, policy)
     u_true = utility(instance, agent, truthful.allocation.house_of(agent))

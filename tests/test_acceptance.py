@@ -23,7 +23,7 @@ from housealloc.fileio import (
 )
 from housealloc.gen import random_instance, trial_params
 from housealloc.matching import max_weight_perfect_matching
-from housealloc.mechanisms import Mechanism, run_mechanism
+from housealloc.mechanisms import Mechanism, Solved, run_mechanism
 from housealloc.model import Allocation, welfare
 from housealloc import oracles
 from housealloc.rng import SplitMix64
@@ -165,7 +165,7 @@ def test_criterion_5_strategyproofness_sweep():
     for t in range(trials):
         inst = random_instance(trial_params(MASTER_SEED, t, 5, 5))
         for mech in Mechanism:
-            witness = oracles.check_strategyproofness(inst, mech)
+            witness = oracles.check_strategyproofness(Solved(inst, mech))
             if witness is not None:
                 found[mech].append(t)
                 if not oracles.verify_manipulation_witness(inst, mech, witness):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import housealloc.mechanisms as mechanisms
 from housealloc.cli import main
 from housealloc.fileio import (
     FileFormatError,
@@ -225,6 +226,20 @@ def test_internal_value_errors_are_internal_errors(monkeypatch, capsys, fault):
     code = main(["run", str(FIXTURES / "e2.json"), "--mechanism", "msir"])
     assert code == 3
     assert "internal error: solver fault" in capsys.readouterr().err
+
+
+def test_internal_fault_in_allocation_validation_is_internal_error(monkeypatch, tmp_path, capsys):
+    # only an invalid allocation is bad input; any other fault is the program's
+    e2 = str(FIXTURES / "e2.json")
+    alloc = write_allocation(tmp_path, e2, {"1": "h1", "2": "h2"})
+
+    def broken(*args):
+        raise RuntimeError("validator fault")
+
+    monkeypatch.setattr("housealloc.fileio.validate_allocation", broken)
+    code, _, err = run_cli("verify", e2, str(alloc), "--properties", "ir", capsys=capsys)
+    assert code == 3
+    assert "internal error: validator fault" in err
 
 
 def reading_json(role, path):
@@ -554,3 +569,19 @@ def test_report_with_sp_column(tmp_path, capsys):
     )
     assert code == 0
     assert any(line.startswith("sp") for line in out.splitlines())
+
+
+def test_report_solves_once_per_trial_and_mechanism(monkeypatch, tmp_path, capsys):
+    # the property checks and the misreport sweep share one solve
+    calls = []
+    solve = mechanisms.max_weight_perfect_matching
+
+    def counting(rows):
+        calls.append(rows)
+        return solve(rows)
+
+    monkeypatch.setattr(mechanisms, "max_weight_perfect_matching", counting)
+    code, _, _ = run_cli("report", "--sp", "on", "--trials", "3", "--max-agents", "4",
+                         "--max-houses", "4", "--out-dir", str(tmp_path / "cx"), capsys=capsys)
+    assert code == 0
+    assert len(calls) == 6

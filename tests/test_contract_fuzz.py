@@ -7,11 +7,16 @@ rerun on the instance's canonical form writes the same bytes again.
 
 The generated files have adversarial ids (lone surrogates, NUL, the
 ``~dummy_house_k`` labels a trace uses, empty, non-ASCII), integer literals
-past CPython's 4,300-digit conversion limit, NaN and Infinity, and wrong
-types, missing keys and extra keys at every level.  Inputs that once broke
-the contract are kept as ``tests/fixtures/fuzz_*.json`` (an object with the
-``instance``, ``permutation`` and ``allocation`` file texts, the last two
-possibly null) and replayed first.
+past CPython's 4,300-digit conversion limit, arrays nested too deeply to
+decode, NaN and Infinity, and wrong types, missing keys and extra keys at
+every level.  Each file is written as UTF-8, UTF-8 with a byte-order mark
+or UTF-16 (not UTF-8 at all), and the output paths of ``run --output`` and
+``verify --json`` may be a directory or sit in a missing one, which must
+exit 2.  Inputs that once broke the contract are kept as
+``tests/fixtures/fuzz_*.json`` (an object with the ``instance``,
+``permutation`` and ``allocation`` file texts, the last two possibly null,
+and optionally ``encoding``, the codec of each file not in UTF-8, and
+``output``, the kind of output path) and replayed first.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ from housealloc.oracles import PROPERTY_KEYS
 FIXTURES = Path(__file__).parent / "fixtures"
 ALLOWED = {0, 1, 2, 4}
 HUGE = "<huge int>"  # stands for a 5,000-digit literal; longer than any drawn text
+DEEP = "<deep array>"  # stands for arrays nested 100,000 deep
+ROLES = ("instance", "permutation", "allocation")
+CODECS = ("utf-8", "utf-8-sig", "utf-16")  # utf-8-sig writes a byte-order mark
+OUTPUTS = ("file", "file", "file", "directory", "missing directory")
 ADVERSARIAL_IDS = [
     "\ud800", "x\udfff", "\x00", "~dummy_house_0", "~dummy_house_1", "", "é", "名", "h0", "a0",
 ]
@@ -44,6 +53,7 @@ junk = st.one_of(
     st.integers(),
     st.floats(allow_nan=True, allow_infinity=True),
     st.just(HUGE),
+    st.just(DEEP),
     ids,
     st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
@@ -51,8 +61,10 @@ junk = st.one_of(
 
 
 def to_text(doc) -> str:
-    """JSON text of ``doc``, lone surrogates escaped and ``HUGE`` spelled out."""
-    return json.dumps(doc).replace(json.dumps(HUGE), "9" * 5000)
+    """JSON text of ``doc``, lone surrogates escaped and ``HUGE`` and
+    ``DEEP`` spelled out."""
+    text = json.dumps(doc).replace(json.dumps(HUGE), "9" * 5000)
+    return text.replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
 
 
 @st.composite
@@ -101,6 +113,8 @@ def cases(draw):
         "instance": to_text(instance),
         "permutation": None if permutation is None else to_text(permutation),
         "allocation": None if allocation is None else to_text(allocation),
+        "encoding": {role: draw(st.sampled_from(CODECS)) for role in ROLES},
+        "output": draw(st.sampled_from(OUTPUTS)),
     }
 
 
@@ -110,24 +124,28 @@ def cli(*argv: str) -> int:
 
 
 def check_contract(case: dict, mechanism: str) -> None:
+    encoding = case.get("encoding", {})
+    kind = case.get("output", "file")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inst = tmp / "instance.json"
-        inst.write_text(case["instance"], encoding="utf-8")
-        order = []
-        if case["permutation"] is not None:
-            perm = tmp / "perm.json"
-            perm.write_text(case["permutation"], encoding="utf-8")
-            order = ["--permutation", f"file:{perm}"]
+        files = {}
+        for role in ROLES:
+            if case[role] is not None:
+                files[role] = tmp / f"{role}.json"
+                files[role].write_bytes(case[role].encode(encoding.get(role, "utf-8")))
+        inst = files["instance"]
+        order = ["--permutation", f"file:{files['permutation']}"] if "permutation" in files else []
+        unwritable = {"directory": tmp, "missing directory": tmp / "missing" / "out.json"}
         every = ",".join(PROPERTY_KEYS)
-        if case["allocation"] is not None:
-            alloc = tmp / "alloc.json"
-            alloc.write_text(case["allocation"], encoding="utf-8")
-            assert cli("verify", str(inst), str(alloc), "--properties", every) in ALLOWED
+        if "allocation" in files:
+            report = unwritable.get(kind, tmp / "report.json")
+            code = cli("verify", str(inst), str(files["allocation"]), "--properties", every,
+                       "--json", str(report))
+            assert code in ({2, 4} if kind in unwritable else ALLOWED)
 
-        out = tmp / "out.json"
+        out = unwritable.get(kind, tmp / "out.json")
         code = cli("run", str(inst), "--mechanism", mechanism, *order, "--output", str(out))
-        assert code in ALLOWED
+        assert code == 2 if kind in unwritable else code in ALLOWED
         if code != 0:
             return
         text = out.read_text(encoding="utf-8")

@@ -102,6 +102,17 @@ def test_remove_zero_edges_e1_agent4(e1):
     assert removed == [3]
 
 
+def test_drop_zero_edges_replaces_the_row_and_never_edits_it():
+    g = graph_from_edges(3, [(0, 0, 0), (0, 1, 1), (0, 2, 0), (1, 0, 1), (2, 2, 1)])
+    for min_weight, kept in ((3, True), (4, False)):
+        optimum = max_weight_perfect_matching([dict(row) for row in g])
+        row = optimum.rows[0]
+        before = list(row.items())
+        assert optimum.drop_zero_edges(0, min_weight) == ([0, 2], 3, kept)
+        assert list(row.items()) == before
+        assert (optimum.rows[0] is row) is not kept
+
+
 def test_restore_is_exact_inverse():
     rng = SplitMix64(99)
     rejected = kept_count = 0

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from housealloc.gen import GenParams, random_instance, trial_params
-from housealloc.mechanisms import Mechanism, run_mechanism
+from housealloc.mechanisms import Mechanism, Solved, run_mechanism
 from housealloc.model import Allocation, validate_instance, welfare
 from housealloc.oracles import (
     BudgetExceeded,
@@ -270,20 +270,21 @@ def test_ir_welfare_lemma():
 
 
 def test_strategyproofness_fixtures(e2, e3):
-    assert check_strategyproofness(e2, Mechanism.MSIR) is None
-    assert check_strategyproofness(e3, Mechanism.MIR) is None
+    assert check_strategyproofness(Solved(e2, Mechanism.MSIR)) is None
+    assert check_strategyproofness(Solved(e3, Mechanism.MIR)) is None
 
 
 def test_strategyproofness_single_agent():
     inst = validate_instance(["1"], ["h1"], {"1": "h1"}, {"1": set()})
     for mech in Mechanism:
-        assert check_strategyproofness(inst, mech) is None
+        assert check_strategyproofness(Solved(inst, mech)) is None
 
 
 def test_strategyproofness_budget():
     inst = random_instance(GenParams(2, 7, 0.5, 0.5, 9))
+    solved = Solved(inst, Mechanism.MSIR)
     with pytest.raises(BudgetExceeded):
-        check_strategyproofness(inst, Mechanism.MSIR)
+        check_strategyproofness(solved)
 
 
 def test_manipulation_witness_checker_rejects_fabrications(e2):
@@ -320,14 +321,14 @@ def test_sweep_finds_mir_manipulation_on_minimal_instance():
         ["1", "2", "3"], ["h1", "h2", "h3"], {"3": "h3"},
         {"1": {"h3"}, "2": {"h1"}, "3": {"h1"}},
     )
-    witness = check_strategyproofness(inst, Mechanism.MIR)
+    witness = check_strategyproofness(Solved(inst, Mechanism.MIR))
     assert witness is not None
     assert witness.agent == "3"
     assert witness.reported == {"h1", "h3"}
     assert verify_manipulation_witness(inst, Mechanism.MIR, witness)
     # the S-IR variant resists on the same instance (and on every 3x3
     # market; the exhaustive search found no case against it)
-    assert check_strategyproofness(inst, Mechanism.MSIR) is None
+    assert check_strategyproofness(Solved(inst, Mechanism.MSIR)) is None
 
 
 def test_sweep_finds_mir_manipulation_on_four_agent_cycle():
@@ -338,10 +339,10 @@ def test_sweep_finds_mir_manipulation_on_four_agent_cycle():
         {"1": "h3", "2": "h4", "3": "h1", "4": "h2"},
         {"1": {"h1"}, "2": {"h2"}, "3": {"h2"}, "4": {"h1"}},
     )
-    witness = check_strategyproofness(inst, Mechanism.MIR)
+    witness = check_strategyproofness(Solved(inst, Mechanism.MIR))
     assert witness is not None
     assert verify_manipulation_witness(inst, Mechanism.MIR, witness)
-    assert check_strategyproofness(inst, Mechanism.MSIR) is None
+    assert check_strategyproofness(Solved(inst, Mechanism.MSIR)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The warm misreport sweep against cold mechanism runs.
 
 ``tests/reference_sp.py`` is the sweep with one cold ``run_mechanism`` per
-report.  ``check_strategyproofness`` solves the truthful graph once and
-carries that optimum to every report with a row swap; it must return the
+report.  ``check_strategyproofness`` carries the optimum of a
+:class:`Solved` to every report with a row swap; it must return the
 same first witness, every warm run must equal the cold run on the
 misreported instance, trace included, and a sweep must solve only once.
 The sweep runs no report that cannot pay: a report it skips must leave the
@@ -40,7 +40,7 @@ def test_sweep_returns_the_reference_witness():
         instance = random_instance(trial_params(17, trial, 6, 6))
         policy = _policy(trial)
         for mech in Mechanism:
-            got = check_strategyproofness(instance, mech, policy)
+            got = check_strategyproofness(Solved(instance, mech, policy))
             assert got == reference_sp.check_strategyproofness(instance, mech, policy), trial
             witnesses[mech] += got is not None
             compared += 1
@@ -80,7 +80,7 @@ def test_one_solve_per_sweep(monkeypatch):
         instance = random_instance(trial_params(13, trial, 5, 5))
         for mech in Mechanism:
             calls.clear()
-            check_strategyproofness(instance, mech)
+            check_strategyproofness(Solved(instance, mech))
             assert len(calls) == 1
             if instance.agents:
                 calls.clear()
@@ -130,5 +130,5 @@ def test_an_agent_who_accepts_nothing_costs_no_run(monkeypatch):
     instance = validate_instance(["a", "b"], ["h1", "h2"], {"a": "h1"}, {"a": ["h1"]})
     for mech in Mechanism:
         runs.clear()
-        assert check_strategyproofness(instance, mech) is None
+        assert check_strategyproofness(Solved(instance, mech)) is None
         assert len(runs) == 1
