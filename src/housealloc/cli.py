@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 a requested property fails, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -133,7 +133,7 @@ def _witness_prose(witness: object) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = fileio.loads_instance(_read_text(args.input))
     allocation, _, _ = fileio.loads_allocation(_read_text(args.allocation), instance)
-    requested = tuple(p.strip() for p in args.properties.split(",") if p.strip())
+    requested = tuple([p.strip() for p in args.properties.split(",") if p.strip()])
     for key in requested:
         if key not in oracles.PROPERTY_KEYS:
             raise fileio.FileFormatError(
@@ -148,8 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             print(f"{key}: fails ({_witness_prose(verdict.witness)})")
     if args.json is not None:
-        doc = json.dumps(fileio.report_to_doc(report), indent=2, ensure_ascii=False) + "\n"
-        _write_text(args.json, doc)
+        _write_text(args.json, fileio.dumps_json(fileio.report_to_doc(report)))
     return EXIT_OK if report.all_hold else EXIT_PROPERTY_FAILURE
 
 
@@ -260,15 +259,15 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "trial": found["trial"],
                 "witness": fileio.witness_to_doc(found["witness"]),
             }
-            _write_text(
-                out_dir / f"{stem}_witness.json",
-                json.dumps(witness_doc, indent=2, ensure_ascii=False) + "\n",
-            )
+            _write_text(out_dir / f"{stem}_witness.json", fileio.dumps_json(witness_doc))
             print(f"  {mech.value}/{prop}: trial {found['trial']} -> {out_dir / stem}_*.json")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: it keeps no state between
+    ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="housealloc",
         description="House allocation with existing tenants under dichotomous preferences",

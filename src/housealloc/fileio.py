@@ -14,12 +14,20 @@ instance order, acceptable lists in house order, every agent present in the
 allocation map (null for "receives nothing"), two-space indentation and a
 trailing newline.  Parsing rejects unknown keys, so a canonical document
 round-trips byte for byte.
+
+One writer, :func:`dumps_json`, writes every document the program emits:
+instances, allocations, ``verify --json`` reports and ``report`` witness
+files.  Its text is byte for byte ``json.dumps(doc, indent=2,
+ensure_ascii=False) + "\n"``, which runs the standard library's pure-Python
+encoder whenever ``indent`` is set; the writer joins the same pieces
+directly instead.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from json.encoder import encode_basestring as _quote
 from typing import Any
 
 from .mechanisms import MechanismTrace
@@ -59,6 +67,62 @@ def load_json(text: str, prefix: str, error: type[ValueError]) -> Any:
         raise error(f"{prefix}: {exc}") from exc
 
 
+def dumps_json(doc: Any) -> str:
+    """``doc`` as ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``
+    writes it, for documents built from dicts with string keys, lists,
+    strings, ints, bools and None; any other type raises ``TypeError``."""
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value``'s text to ``out``; ``newline`` is the line break plus
+    the indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:  # a list of strings, the common case, in one join
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+            return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be strings, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} into a document")
+
+
 def dumps_instance(instance: Instance) -> str:
     agents = []
     for a in instance.agents:
@@ -66,8 +130,7 @@ def dumps_instance(instance: Instance) -> str:
         agents.append(
             {"id": a, "endowment": instance.endowment.get(a), "acceptable": acceptable}
         )
-    doc = {"agents": agents, "houses": list(instance.houses)}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dumps_json({"agents": agents, "houses": list(instance.houses)})
 
 
 def loads_instance(text: str) -> Instance:
@@ -134,7 +197,7 @@ def dumps_allocation(
             doc["trace"] = trace_to_doc(trace, instance)
         else:
             doc["trace"] = _normalize_trace_doc(trace, instance)
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dumps_json(doc)
 
 
 def _normalize_trace_doc(trace: dict[str, Any], instance: Instance) -> dict[str, Any]:

@@ -122,7 +122,7 @@ class PermutationPolicy:
             assert self.seed is not None
             indices = list(range(len(agents)))
             SplitMix64(self.seed).shuffle(indices)
-            return tuple(agents[i] for i in indices)
+            return tuple([agents[i] for i in indices])
         raise PermutationError(f"unknown permutation policy {self.kind!r}")
 
 
@@ -232,7 +232,7 @@ def serial_refinement(
             raise PermutationError(f"permutation names unknown agent {agent!r}")
         removed, weight, accepted = optimum.drop_zero_edges(index[agent], target)
         flags[agent] = 1 if accepted else 0
-        rounds.append(RoundRecord(agent, tuple(labels[rj] for rj in removed), weight, accepted))
+        rounds.append(RoundRecord(agent, tuple([labels[rj] for rj in removed]), weight, accepted))
     optimum.canonical()
     return flags, tuple(rounds)
 
@@ -271,35 +271,33 @@ class Solved:
         self.labels = _right_labels(instance)
         self.truthful = _refine(instance, optimum.copy(), self.permutation, self.labels)
 
-    def reaches(self, agent: str, reported: frozenset[str], wanted: frozenset[str]) -> bool:
-        """Whether ``agent``'s graph row under the report ``reported`` has an
-        edge to a house in ``wanted``.  Refinement only deletes edges and the
-        allocation is read from a perfect matching of the refined rows, so
-        when it has none, the run on that report gives the agent no house in
-        ``wanted``."""
-        instance = self.instance
-        size = len(self.optimum.rows)
-        row = _agent_row(instance, instance.endowment_of(agent), reported, self.mechanism, size)
-        hidx = instance.house_index
-        return any(hidx[house] in row for house in wanted)
-
     def misreports(
-        self, agent: str, reports: Iterable[frozenset[str]]
-    ) -> Iterator[MechanismResult]:
-        """The runs with ``agent`` reporting each of ``reports`` in turn, one
-        result per report, produced lazily.  Each equals
-        ``run_mechanism(instance.with_report(agent, reported), mechanism,
-        policy)``."""
+        self, agent: str, reports: Iterable[frozenset[str]], wanted: frozenset[str]
+    ) -> Iterator[tuple[frozenset[str], MechanismResult]]:
+        """The runs with ``agent`` reporting each of ``reports`` in turn whose
+        graph row has an edge to a house in ``wanted``, as (report, result)
+        pairs in the order of ``reports``, produced lazily.  Each result
+        equals ``run_mechanism(instance.with_report(agent, reported),
+        mechanism, policy)``.
+
+        A report skipped gives the agent no house in ``wanted``: refinement
+        only deletes edges and the allocation is read from a perfect matching
+        of the refined rows, so the agent ends on a vertex of its own row."""
         instance, mechanism = self.instance, self.mechanism
+        hidx = instance.house_index
+        targets = {hidx[house] for house in wanted}
         own = instance.endowment_of(agent)
         size = len(self.optimum.rows)
         for reported in reports:
-            twisted = instance.with_report(agent, reported)
-            optimum = self.optimum.copy()
+            instance.check_report(agent, reported)
             row = _agent_row(instance, own, reported, mechanism, size)
+            if targets.isdisjoint(row):
+                continue
+            optimum = self.optimum.copy()
             if not optimum.swap_row(instance.agent_index[agent], row):
                 raise InfeasibleInput("mechanism graph admits no perfect matching")
-            yield _refine(twisted, optimum, self.permutation, self.labels)
+            twisted = instance.with_report(agent, reported)
+            yield reported, _refine(twisted, optimum, self.permutation, self.labels)
 
 
 def _refine(

@@ -76,14 +76,19 @@ class Instance:
     def endowment_of(self, agent: str) -> str | None:
         return self.endowment.get(agent)
 
-    def with_report(self, agent: str, reported: frozenset[str]) -> "Instance":
-        """This market with ``agent`` reporting ``reported`` as its
-        acceptable set.  Agents and houses are the same, so the indexes are
-        shared rather than rebuilt."""
+    def check_report(self, agent: str, reported: frozenset[str]) -> None:
+        """Raise unless ``agent`` is one of this market's agents and
+        ``reported`` names only its houses."""
         if agent not in self.agent_index:
             raise UnknownAgent(f"unknown agent {agent!r}")
         if not reported <= self.house_index.keys():
             raise UnknownHouse(f"agent {agent!r} reports an unknown house acceptable")
+
+    def with_report(self, agent: str, reported: frozenset[str]) -> "Instance":
+        """This market with ``agent`` reporting ``reported`` as its
+        acceptable set.  Agents and houses are the same, so the indexes are
+        shared rather than rebuilt."""
+        self.check_report(agent, reported)
         twisted = Instance(
             self.agents, self.houses, self.endowment, {**self.acceptable, agent: reported}
         )

@@ -463,7 +463,7 @@ def _first_blocking(
             allowed = rest
         else:
             forced.add(b)
-    members = tuple(base[b] for b in allowed)
+    members = tuple([base[b] for b in allowed])
     houses = [pool[b] for b in allowed]
     for w in winners:
         if w is not None and w not in members:
@@ -493,7 +493,7 @@ def check_strategyproofness(solved: Solved) -> ManipulationWitness | None:
     satisfied under truth-telling have nothing left to gain, and agents
     that accept no house have nothing to gain at all.  A report whose
     mechanism graph row has no edge into the agent's true acceptable set is
-    skipped too (:meth:`Solved.reaches`): the allocation is read from a
+    skipped too (:meth:`Solved.misreports`): the allocation is read from a
     perfect matching of the refined rows and refinement only deletes
     edges, so the reporter always ends on a vertex of its own row.  That
     covers MSIR's pinned row for a report that accepts an endowment the
@@ -519,12 +519,8 @@ def check_strategyproofness(solved: Solved) -> ManipulationWitness | None:
         got = solved.truthful.allocation.house_of(agent)
         if not true_set or (got is not None and got in true_set):
             continue
-        reports = [
-            reported
-            for reported in every_report
-            if reported != true_set and solved.reaches(agent, reported, true_set)
-        ]
-        for reported, outcome in zip(reports, solved.misreports(agent, reports)):
+        reports = [reported for reported in every_report if reported != true_set]
+        for reported, outcome in solved.misreports(agent, reports, true_set):
             landed = outcome.allocation.house_of(agent)
             if landed is not None and landed in true_set:
                 return ManipulationWitness(

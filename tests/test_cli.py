@@ -553,6 +553,14 @@ def test_report_budget_violation_is_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("agents, houses, code", [(8, 8, 0), (9, 8, 4), (8, 9, 4)])
+def test_report_size_limit_is_8x8(agents, houses, code, capsys, tmp_path):
+    # the first trial of seed 0 is small, so the 8 x 8 report answers at once
+    got, _, _ = run_cli("report", "--trials", "1", "--max-agents", str(agents),
+                        "--max-houses", str(houses), "--out-dir", str(tmp_path), capsys=capsys)
+    assert got == code
+
+
 def test_report_sp_budget_check(capsys, tmp_path):
     # 7 houses are past the misreport sweep's fixed limit of 6
     code, _, _ = run_cli("report", "--trials", "1", "--max-agents", "4",

@@ -1,10 +1,16 @@
-"""Golden corpus: canonical allocation documents, traces included, re-run
-byte for byte.
+"""Golden corpus: canonical documents, re-run byte for byte.
 
-Each line of ``tests/golden/*.jsonl`` names one case (generator parameters,
-mechanism, permutation spec) and the exact document ``housealloc run``
-wrote for it when the corpus was recorded.  Any change to the solver or the
-refinement that moves a single byte of any output fails here.
+Each line of ``tests/golden/markets.jsonl`` and ``trials.jsonl`` names one
+case (generator parameters, mechanism, permutation spec) and the exact
+document ``housealloc run`` wrote for it, trace included, when the corpus
+was recorded.  Any change to the solver or the refinement that moves a
+single byte of any output fails here.
+
+``verify.jsonl`` holds what ``housealloc verify`` printed and wrote with
+``--json`` for all eight properties on allocations below the welfare
+maxima, so every welfare-gap witness shows its exemplar, and
+``report.json`` holds the output and every file of one ``report --sp on``
+run.  They pin the witness documents, exemplars included.
 
 ``python tests/test_golden.py`` rewrites the corpus from the current code;
 run it only to redefine the cases, never to absorb a change in output.
@@ -12,17 +18,23 @@ run it only to redefine the cases, never to absorb a change in output.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from housealloc import fileio
-from housealloc.cli import _parse_permutation
+from housealloc.cli import _parse_permutation, main
 from housealloc.gen import GenParams, random_instance, trial_params
 from housealloc.mechanisms import Mechanism, run_mechanism
+from housealloc.model import Allocation
+from housealloc.oracles import PROPERTY_KEYS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,6 +96,74 @@ def test_golden_documents_byte_identical(group):
     assert not mismatched, f"{len(mismatched)} documents changed: {mismatched[:10]}"
 
 
+def _cli(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# Allocations below the welfare maxima: every agent keeps its endowment (IR
+# and S-IR, so short of a maximum only in welfare), or nobody gets a house.
+ALLOCATIONS = {
+    "endowments": lambda instance: dict(instance.endowment),
+    "nothing": lambda instance: {},
+}
+
+
+def _verify_cases():
+    """trial_params markets up to 7x7, the 7x7 ones on odd trials."""
+    for trial in range(40):
+        for kind in ALLOCATIONS:
+            yield f"verify-{trial}-{kind}", trial_params(2024, trial, 7, 7), kind
+
+
+def _verify(params: GenParams, kind: str) -> dict:
+    instance = random_instance(params)
+    allocation = Allocation(ALLOCATIONS[kind](instance))
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, alloc, report = (Path(tmp) / name for name in ("i.json", "a.json", "r.json"))
+        inst.write_text(fileio.dumps_instance(instance), encoding="utf-8")
+        alloc.write_text(fileio.dumps_allocation(instance, allocation), encoding="utf-8")
+        code, stdout = _cli(["verify", str(inst), str(alloc), "--properties",
+                             ",".join(PROPERTY_KEYS), "--json", str(report)])
+        return {"exit": code, "stdout": stdout, "document": report.read_text(encoding="utf-8")}
+
+
+REPORT_ARGS = ["report", "--sp", "on", "--trials", "20", "--seed", "15",
+               "--max-agents", "5", "--max-houses", "5"]
+
+
+def _report() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout = _cli(REPORT_ARGS + ["--out-dir", tmp])
+        files = {p.name: p.read_text(encoding="utf-8") for p in sorted(Path(tmp).iterdir())}
+    return {"argv": REPORT_ARGS, "exit": code, "stdout": stdout.replace(tmp, "OUT"),
+            "files": files}
+
+
+def test_verify_documents_byte_identical():
+    entries = _load("verify")
+    assert [e["id"] for e in entries] == [case_id for case_id, *_ in _verify_cases()]
+    mismatched = [
+        e["id"] for e in entries
+        if _verify(GenParams(**e["params"]), e["allocation"])
+        != {k: e[k] for k in ("exit", "stdout", "document")}
+    ]
+    assert not mismatched, f"{len(mismatched)} verify outputs changed: {mismatched[:10]}"
+    # the corpus shows every welfare target's exemplar
+    reports = [json.loads(e["document"]) for e in entries]
+    for key in ("maxw", "maxw-ir", "maxw-sir"):
+        assert any(not report[key]["holds"] for report in reports), key
+
+
+def test_report_files_byte_identical():
+    expected = json.loads((GOLDEN / "report.json").read_text(encoding="utf-8"))
+    got = _report()
+    assert got["files"].keys() == expected["files"].keys()
+    assert got == expected
+
+
 def _write(group: str) -> None:
     GOLDEN.mkdir(exist_ok=True)
     lines = []
@@ -99,6 +179,24 @@ def _write(group: str) -> None:
     (GOLDEN / f"{group}.jsonl").write_text("".join(lines), encoding="utf-8")
 
 
+def _write_verify() -> None:
+    lines = [
+        json.dumps({"id": case_id, "params": asdict(params), "allocation": kind,
+                    **_verify(params, kind)}, ensure_ascii=False) + "\n"
+        for case_id, params, kind in _verify_cases()
+    ]
+    (GOLDEN / "verify.jsonl").write_text("".join(lines), encoding="utf-8")
+
+
+def _write_report() -> None:
+    text = json.dumps(_report(), indent=1, ensure_ascii=False) + "\n"
+    (GOLDEN / "report.json").write_text(text, encoding="utf-8")
+
+
+WRITERS = {**{name: functools.partial(_write, name) for name in GROUPS},
+           "verify": _write_verify, "report": _write_report}
+
+
 if __name__ == "__main__":
-    for name in sys.argv[1:] or sorted(GROUPS):
-        _write(name)
+    for name in sys.argv[1:] or sorted(WRITERS):
+        WRITERS[name]()

@@ -6,8 +6,10 @@ from housealloc.gen import GenParams, random_instance, trial_params
 from housealloc.mechanisms import Mechanism, Solved, run_mechanism
 from housealloc.model import Allocation, validate_instance, welfare
 from housealloc.oracles import (
+    BlockingWitness,
     BudgetExceeded,
     DominationWitness,
+    WeakBlockingWitness,
     check_strategyproofness,
     evaluate_properties,
     is_core_stable,
@@ -177,6 +179,20 @@ def test_strict_core_catches_weak_blocks_core_misses():
     assert verify_weak_blocking_witness(inst, alloc, verdict.witness)
 
 
+def test_coalition_checkers_reject_a_member_who_loses():
+    # a keeps its acceptable endowment and b wants it too: handing it to b
+    # makes b better off and a worse off, so no coalition blocks this way
+    inst = validate_instance(
+        ["a", "b"], ["ha", "hb"], {"a": "ha", "b": "hb"}, {"a": {"ha"}, "b": {"ha"}},
+    )
+    alloc = Allocation({"a": "ha", "b": "hb"})
+    trade = {"a": "hb", "b": "ha"}
+    assert not verify_blocking_witness(inst, alloc, BlockingWitness(("a", "b"), trade))
+    assert not verify_weak_blocking_witness(
+        inst, alloc, WeakBlockingWitness(("a", "b"), trade, "b")
+    )
+
+
 def test_core_pruned_agrees_with_exhaustive():
     for trial in range(120):
         inst = random_instance(trial_params(31337, trial, 5, 5))
@@ -232,6 +248,18 @@ def test_welfare_maxima_budget():
     inst = random_instance(GenParams(9, 9, 0.5, 0.5, 3))
     with pytest.raises(BudgetExceeded):
         welfare_maxima(inst)
+
+
+@pytest.mark.parametrize("agents, houses", [(8, 8), (9, 8), (8, 9)])
+def test_welfare_maxima_size_limit_is_8x8(agents, houses):
+    # nobody endowed and every house acceptable: the first leaf of welfare 8
+    # prunes the rest of the enumeration, so 8 x 8 answers at once
+    inst = random_instance(GenParams(agents, houses, 0.0, 1.0, 3))
+    if agents <= 8 and houses <= 8:
+        assert welfare_maxima(inst).unconstrained == 8
+    else:
+        with pytest.raises(BudgetExceeded):
+            welfare_maxima(inst)
 
 
 def test_welfare_maxima_argmaxes_satisfy_their_constraints():

@@ -58,12 +58,19 @@ def test_warm_runs_equal_cold_runs():
         if instance.agents:
             agent = instance.agents[trial % instance.num_agents]
             reports = _every_report(instance)
+            houses = frozenset(instance.houses)
             for mech in Mechanism:
-                warm = Solved(instance, mech, policy).misreports(agent, reports)
-                for reported, result in zip(reports, warm, strict=True):
+                ran = []
+                for reported, result in Solved(instance, mech, policy).misreports(
+                    agent, reports, houses
+                ):
                     twisted = reference_sp.misreport(instance, agent, reported)
                     assert result == run_mechanism(twisted, mech, policy), (trial, reported)
+                    ran.append(reported)
                     runs += 1
+                # every row holds a house, its endowment or all of them, so
+                # only a market without houses skips a report
+                assert ran == (reports if houses else [])
         trial += 1
 
 
@@ -85,16 +92,18 @@ def test_one_solve_per_sweep(monkeypatch):
             if instance.agents:
                 calls.clear()
                 solved = Solved(instance, mech)
-                for _ in solved.misreports(instance.agents[0], _every_report(instance)):
+                houses = frozenset(instance.houses)
+                for _ in solved.misreports(instance.agents[0], _every_report(instance), houses):
                     pass
                 assert len(calls) == 1
 
 
 def test_misreports_reject_unknown_names(e2):
+    # checked before the skip: an empty wanted set skips every report
     with pytest.raises(UnknownAgent):
-        next(Solved(e2, Mechanism.MSIR).misreports("nope", [frozenset()]))
+        next(Solved(e2, Mechanism.MSIR).misreports("nope", [frozenset()], frozenset()))
     with pytest.raises(UnknownHouse):
-        next(Solved(e2, Mechanism.MSIR).misreports("1", [frozenset({"h9"})]))
+        next(Solved(e2, Mechanism.MSIR).misreports("1", [frozenset({"h9"})], frozenset()))
 
 
 def test_skipped_reports_cannot_pay():
@@ -106,8 +115,9 @@ def test_skipped_reports_cannot_pay():
             solved = Solved(instance, mech)
             for agent in instance.agents:
                 true_set = instance.acceptable[agent]
+                ran = {reported for reported, _ in solved.misreports(agent, reports, true_set)}
                 for reported in reports:
-                    if not true_set or solved.reaches(agent, reported, true_set):
+                    if not true_set or reported in ran:
                         continue
                     skipped += 1
                     twisted = reference_sp.misreport(instance, agent, reported)
