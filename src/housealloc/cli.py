@@ -27,7 +27,7 @@ from .mechanisms import (
     Solved,
     run_mechanism,
 )
-from .model import Instance, ModelError, welfare
+from .model import Instance, ModelError
 from .oracles import BudgetExceeded
 
 EXIT_OK = 0
@@ -97,39 +97,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _witness_prose(witness: object) -> str:
-    if isinstance(witness, oracles.ViolationWitness):
-        got = witness.assigned if witness.assigned is not None else "nothing"
-        return f"agent {witness.agent} owned {witness.endowment} but receives {got}"
-    if isinstance(witness, oracles.DominationWitness):
-        pairs = ", ".join(
-            f"{a}->{h if h is not None else 'null'}"
-            for a, h in witness.allocation.assignment.items()
-        )
-        return f"dominated by {{{pairs}}}"
-    if isinstance(witness, oracles.BlockingWitness):
-        trade = ", ".join(f"{a}->{h}" for a, h in witness.reallocation.items())
-        return f"blocking coalition {{{', '.join(witness.coalition)}}} trading {trade}"
-    if isinstance(witness, oracles.WeakBlockingWitness):
-        trade = ", ".join(f"{a}->{h}" for a, h in witness.reallocation.items())
-        return (
-            f"weakly blocking coalition {{{', '.join(witness.coalition)}}} trading "
-            f"{trade} (agent {witness.improving_agent} gains)"
-        )
-    if isinstance(witness, oracles.WelfareGapWitness):
-        if witness.achieved < witness.target:
-            return f"welfare {witness.achieved} but {witness.target} is attainable"
-        return (
-            f"welfare {witness.achieved} differs from the constrained "
-            f"maximum {witness.target}"
-        )
-    if isinstance(witness, oracles.ManipulationWitness):
-        return (
-            f"agent {witness.agent} gains by reporting {sorted(witness.reported)}"
-        )
-    return str(witness)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = fileio.loads_instance(_read_text(args.input))
     allocation, _, _ = fileio.loads_allocation(_read_text(args.allocation), instance)
@@ -141,15 +108,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
     if not requested:
         raise fileio.FileFormatError("--properties lists no properties")
-    report = oracles.evaluate_properties(instance, allocation, requested)
-    for key, verdict in report.verdicts.items():
+    verdicts = oracles.evaluate_properties(instance, allocation, requested)
+    for key, verdict in verdicts.items():
         if verdict.holds:
             print(f"{key}: holds")
         else:
-            print(f"{key}: fails ({_witness_prose(verdict.witness)})")
+            print(f"{key}: fails ({verdict.witness.prose()})")
     if args.json is not None:
-        _write_text(args.json, fileio.dumps_json(fileio.report_to_doc(report)))
-    return EXIT_OK if report.all_hold else EXIT_PROPERTY_FAILURE
+        _write_text(args.json, fileio.dumps_json(fileio.report_to_doc(verdicts)))
+    return EXIT_OK if all(v.holds for v in verdicts.values()) else EXIT_PROPERTY_FAILURE
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -171,17 +138,13 @@ def _report_checks(
     """Per-property verdicts for one mechanism run.  The welfare targets and
     exemplars are the enumeration's, shared by both mechanisms' runs."""
     alloc = result.allocation
-    checks = oracles.evaluate_properties(instance, alloc, ("sir", "ir", "core", "po")).verdicts
-    achieved = welfare(instance, alloc)
+    checks = oracles.evaluate_properties(instance, alloc, ("sir", "ir", "core", "po"))
     for key, target, exemplar in (
         ("maxw-sir", maxima.sir, maxima.sir_argmax),
         ("maxw-ir", maxima.ir, maxima.ir_argmax),
         ("maxw", maxima.unconstrained, maxima.unconstrained_argmax),
     ):
-        ok = achieved == target
-        checks[key] = oracles.Verdict(
-            ok, None if ok else oracles.WelfareGapWitness(achieved, target, exemplar)
-        )
+        checks[key] = oracles.welfare_verdict(instance, alloc, target, exemplar)
     return checks
 
 
@@ -214,8 +177,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             result = solved.truthful
             checks = _report_checks(instance, result, maxima)
             if include_sp:
-                manipulation = oracles.check_strategyproofness(solved)
-                checks["sp"] = oracles.Verdict(manipulation is None, manipulation)
+                checks["sp"] = oracles.Verdict(oracles.check_strategyproofness(solved))
             for prop, verdict in checks.items():
                 if verdict.holds:
                     passes[mech][prop] += 1

@@ -26,7 +26,6 @@ directly instead.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from json.encoder import encode_basestring as _quote
 from typing import Any
 
@@ -39,7 +38,6 @@ from .model import (
     validate_instance,
     welfare,
 )
-from . import oracles
 
 
 class FileFormatError(ValueError):
@@ -259,50 +257,14 @@ def loads_allocation(
     return allocation, stated, trace
 
 
-def witness_to_doc(witness: object) -> Any:
-    """Machine-readable rendering of any oracle witness."""
-    if witness is None:
-        return None
-    if isinstance(witness, oracles.DominationWitness):
-        return {
-            "kind": "dominating-allocation",
-            "allocation": dict(witness.allocation.assignment),
-        }
-    if isinstance(witness, oracles.BlockingWitness):
-        return {
-            "kind": "blocking-coalition",
-            "coalition": list(witness.coalition),
-            "reallocation": dict(witness.reallocation),
-        }
-    if isinstance(witness, oracles.WeakBlockingWitness):
-        return {
-            "kind": "weakly-blocking-coalition",
-            "coalition": list(witness.coalition),
-            "reallocation": dict(witness.reallocation),
-            "improving_agent": witness.improving_agent,
-        }
-    if isinstance(witness, oracles.ManipulationWitness):
-        return {
-            "kind": "profitable-misreport",
-            "agent": witness.agent,
-            "reported": sorted(witness.reported),
-            "truthful_utility": witness.truthful_utility,
-            "misreport_utility": witness.misreport_utility,
-        }
-    if isinstance(witness, oracles.WelfareGapWitness):
-        return {
-            "kind": "welfare-gap",
-            "achieved": witness.achieved,
-            "target": witness.target,
-            "exemplar": dict(witness.exemplar.assignment),
-        }
-    if isinstance(witness, oracles.ViolationWitness):
-        return {"kind": "rationality-violation", **asdict(witness)}
-    raise TypeError(f"cannot serialize witness {witness!r}")
+def witness_to_doc(witness: Any) -> Any:
+    """Machine-readable rendering of an oracle witness, or None for none."""
+    return None if witness is None else witness.doc()
 
 
-def report_to_doc(report: oracles.PropertyReport) -> dict[str, Any]:
+def report_to_doc(verdicts: dict[str, Any]) -> dict[str, Any]:
+    """The ``verify --json`` document of the verdicts by property key."""
     return {
         key: {"holds": verdict.holds, "witness": witness_to_doc(verdict.witness)}
-        for key, verdict in report.verdicts.items()
+        for key, verdict in verdicts.items()
     }

@@ -1,13 +1,15 @@
 """Mechanism-agnostic verification of allocation properties.
 
-Everything here is deliberately independent of the matching solver the
+The checks of one allocation never touch the matching solver the
 mechanisms run on: welfare maxima come from exhaustive enumeration of
 injective partial assignments, and the maximum welfare, the Pareto
 certificate and the core and strict-core searches come from one
 augmenting-path matcher of its own (Kuhn's, with an explicit stack, so its
-depth is not bounded by the interpreter's recursion limit).  Every
-negative verdict carries a witness that a standalone checker can
-re-validate without re-running the search that found it.
+depth is not bounded by the interpreter's recursion limit).  A verdict is
+its witness: the property holds exactly when there is none.  A standalone
+checker can re-validate each witness without re-running the search that
+found it, and each witness renders itself as a document (``doc``) and as
+the text ``verify`` prints (``prose``).
 
 Pareto optimality has one route, the matching certificate: an allocation
 is dominated iff its satisfied agents plus one more can all be given
@@ -17,12 +19,13 @@ with the smallest bit mask over the candidate agents in agent order (bit i
 is the i-th candidate), found bit by bit from the top with one matching
 per step.
 
-The misreport sweep is the one check that runs the mechanism itself, on
-every report of every agent that could pay.  It takes the mechanism's
-:class:`housealloc.mechanisms.Solved` and solves nothing itself: each
-report swaps the reporter's row into a copy of that optimum and repairs it
-with at most one search, with the same results as a cold run per report.
-Its witnesses are re-checked by two cold runs.
+The misreport sweep is the one check that runs the mechanism, and so the
+solver, itself.  It skips every report that cannot pay and runs the rest
+from the mechanism's :class:`housealloc.mechanisms.Solved` without a
+solve of its own: each report swaps the reporter's row into a copy of that
+optimum and repairs it with at most one search, with the same results as a
+cold run per report.  Its witnesses are re-checked by two cold runs of
+:func:`housealloc.mechanisms.run_mechanism`.
 
 The two exhaustive searches left have fixed size limits: the welfare
 enumeration takes at most ``MAX_ALLOC_AGENTS`` x ``MAX_ALLOC_HOUSES``
@@ -33,7 +36,8 @@ truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .mechanisms import Mechanism, PermutationPolicy, Solved, run_mechanism
 from .model import (
@@ -65,6 +69,11 @@ class BudgetExceeded(ValueError):
 # Witnesses
 
 
+def _pairs(assignment: dict[str, str | None]) -> str:
+    """An assignment as ``agent->house`` pairs, ``null`` for no house."""
+    return ", ".join(f"{a}->{h if h is not None else 'null'}" for a, h in assignment.items())
+
+
 @dataclass(frozen=True)
 class ViolationWitness:
     """An agent whose assignment breaks IR or S-IR."""
@@ -73,12 +82,26 @@ class ViolationWitness:
     endowment: str | None
     assigned: str | None
 
+    def doc(self) -> dict[str, Any]:
+        return {"kind": "rationality-violation", "agent": self.agent,
+                "endowment": self.endowment, "assigned": self.assigned}
+
+    def prose(self) -> str:
+        got = self.assigned if self.assigned is not None else "nothing"
+        return f"agent {self.agent} owned {self.endowment} but receives {got}"
+
 
 @dataclass(frozen=True)
 class DominationWitness:
     """An allocation leaving every agent at least as well off and one better."""
 
     allocation: Allocation
+
+    def doc(self) -> dict[str, Any]:
+        return {"kind": "dominating-allocation", "allocation": dict(self.allocation.assignment)}
+
+    def prose(self) -> str:
+        return f"dominated by {{{_pairs(self.allocation.assignment)}}}"
 
 
 @dataclass(frozen=True)
@@ -88,6 +111,14 @@ class BlockingWitness:
     coalition: tuple[str, ...]
     reallocation: dict[str, str]
 
+    def doc(self) -> dict[str, Any]:
+        return {"kind": "blocking-coalition", "coalition": list(self.coalition),
+                "reallocation": dict(self.reallocation)}
+
+    def prose(self) -> str:
+        return (f"blocking coalition {{{', '.join(self.coalition)}}} "
+                f"trading {_pairs(self.reallocation)}")
+
 
 @dataclass(frozen=True)
 class WeakBlockingWitness:
@@ -96,6 +127,14 @@ class WeakBlockingWitness:
     coalition: tuple[str, ...]
     reallocation: dict[str, str]
     improving_agent: str
+
+    def doc(self) -> dict[str, Any]:
+        return {"kind": "weakly-blocking-coalition", "coalition": list(self.coalition),
+                "reallocation": dict(self.reallocation), "improving_agent": self.improving_agent}
+
+    def prose(self) -> str:
+        return (f"weakly blocking coalition {{{', '.join(self.coalition)}}} trading "
+                f"{_pairs(self.reallocation)} (agent {self.improving_agent} gains)")
 
 
 @dataclass(frozen=True)
@@ -107,6 +146,14 @@ class ManipulationWitness:
     truthful_utility: int
     misreport_utility: int
 
+    def doc(self) -> dict[str, Any]:
+        return {"kind": "profitable-misreport", "agent": self.agent,
+                "reported": sorted(self.reported), "truthful_utility": self.truthful_utility,
+                "misreport_utility": self.misreport_utility}
+
+    def prose(self) -> str:
+        return f"agent {self.agent} gains by reporting {sorted(self.reported)}"
+
 
 @dataclass(frozen=True)
 class WelfareGapWitness:
@@ -116,24 +163,43 @@ class WelfareGapWitness:
     target: int
     exemplar: Allocation
 
+    def doc(self) -> dict[str, Any]:
+        return {"kind": "welfare-gap", "achieved": self.achieved, "target": self.target,
+                "exemplar": dict(self.exemplar.assignment)}
+
+    def prose(self) -> str:
+        if self.achieved < self.target:
+            return f"welfare {self.achieved} but {self.target} is attainable"
+        return f"welfare {self.achieved} differs from the constrained maximum {self.target}"
+
 
 @dataclass(frozen=True)
 class Verdict:
-    holds: bool
-    witness: object | None = None
+    """A property's verdict: it holds exactly when there is no witness."""
 
-
-@dataclass(frozen=True)
-class PropertyReport:
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
+    witness: Any = None
 
     @property
-    def all_hold(self) -> bool:
-        return all(v.holds for v in self.verdicts.values())
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 # --------------------------------------------------------------------------
 # Individual rationality
+
+
+def _breaks_ir(instance: Instance, agent: str, got: str | None) -> bool:
+    """Whether receiving ``got`` leaves ``agent`` below its endowment's utility."""
+    acceptable = instance.acceptable[agent]
+    return instance.endowment_of(agent) in acceptable and got not in acceptable
+
+
+def _breaks_sir(instance: Instance, agent: str, got: str | None) -> bool:
+    """Whether an endowed ``agent`` neither keeps its endowment nor strictly
+    gains by receiving ``got``."""
+    own = instance.endowment_of(agent)
+    acceptable = instance.acceptable[agent]
+    return own is not None and got != own and (got not in acceptable or own in acceptable)
 
 
 def is_ir(instance: Instance, allocation: Allocation) -> bool:
@@ -148,34 +214,22 @@ def is_sir(instance: Instance, allocation: Allocation) -> bool:
 
 def ir_violation(instance: Instance, allocation: Allocation) -> ViolationWitness | None:
     """First agent (in index order) whose assignment breaks IR, if any."""
-    validate_allocation(instance, allocation)
-    for agent in instance.agents:
-        own = instance.endowment_of(agent)
-        if own is None or own not in instance.acceptable[agent]:
-            continue  # endowment worth 0: any outcome is weakly better
-        got = allocation.house_of(agent)
-        if got is None or got not in instance.acceptable[agent]:
-            return ViolationWitness(agent=agent, endowment=own, assigned=got)
-    return None
+    return _first_violation(instance, allocation, _breaks_ir)
 
 
 def sir_violation(instance: Instance, allocation: Allocation) -> ViolationWitness | None:
     """First agent (in index order) whose assignment breaks S-IR, if any."""
+    return _first_violation(instance, allocation, _breaks_sir)
+
+
+def _first_violation(
+    instance: Instance, allocation: Allocation, breaks: Callable[[Instance, str, str | None], bool]
+) -> ViolationWitness | None:
     validate_allocation(instance, allocation)
     for agent in instance.agents:
-        own = instance.endowment_of(agent)
-        if own is None:
-            continue
         got = allocation.house_of(agent)
-        if got == own:
-            continue
-        strictly_better = (
-            got is not None
-            and got in instance.acceptable[agent]
-            and own not in instance.acceptable[agent]
-        )
-        if not strictly_better:
-            return ViolationWitness(agent=agent, endowment=own, assigned=got)
+        if breaks(instance, agent, got):
+            return ViolationWitness(agent, instance.endowment_of(agent), got)
     return None
 
 
@@ -382,8 +436,8 @@ def _po_certificate(instance: Instance, allocation: Allocation) -> Verdict:
         choice = [-1] * instance.num_agents
         for pos, i in enumerate(group):
             choice[i] = matched[pos]
-        return Verdict(False, DominationWitness(_to_allocation(instance, choice)))
-    return Verdict(True)
+        return Verdict(DominationWitness(_to_allocation(instance, choice)))
+    return Verdict()
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +453,7 @@ def is_core_stable(instance: Instance, allocation: Allocation) -> Verdict:
     sat = satisfied_set(instance, allocation)
     base = [a for a in instance.agents if a in instance.endowment and a not in sat]
     found = _first_blocking(instance, base, frozenset(base), [None])
-    return Verdict(True) if found is None else Verdict(False, BlockingWitness(*found[:2]))
+    return Verdict(None if found is None else BlockingWitness(*found[:2]))
 
 
 def is_strict_core_stable(instance: Instance, allocation: Allocation) -> Verdict:
@@ -411,7 +465,7 @@ def is_strict_core_stable(instance: Instance, allocation: Allocation) -> Verdict
     sat = satisfied_set(instance, allocation)
     base = [a for a in instance.agents if a in instance.endowment]
     found = _first_blocking(instance, base, sat, [a for a in base if a not in sat])
-    return Verdict(True) if found is None else Verdict(False, WeakBlockingWitness(*found))
+    return Verdict(None if found is None else WeakBlockingWitness(*found))
 
 
 def _first_blocking(
@@ -550,25 +604,18 @@ def verify_violation_witness(
     instance: Instance, allocation: Allocation, witness: ViolationWitness, notion: str
 ) -> bool:
     """Re-check an IR ("ir") or S-IR ("sir") violation from its definition."""
+    breaks = {"ir": _breaks_ir, "sir": _breaks_sir}.get(notion)
+    if breaks is None:
+        raise ValueError(f"unknown notion {notion!r}")
     agent = witness.agent
     if agent not in instance.agent_index:
         return False
     got = allocation.house_of(agent)
-    if got != witness.assigned:
-        return False
-    own = instance.endowment_of(agent)
-    if notion == "ir":
-        return utility(instance, agent, got) < utility(instance, agent, own)
-    if notion == "sir":
-        if own is None:
-            return False
-        strictly_better = (
-            got is not None
-            and got in instance.acceptable[agent]
-            and own not in instance.acceptable[agent]
-        )
-        return got != own and not strictly_better
-    raise ValueError(f"unknown notion {notion!r}")
+    return (
+        got == witness.assigned
+        and witness.endowment == instance.endowment_of(agent)
+        and breaks(instance, agent, got)
+    )
 
 
 def verify_domination_witness(
@@ -672,46 +719,43 @@ def verify_welfare_gap_witness(
 # Property evaluation used by the CLI
 
 
+def welfare_verdict(
+    instance: Instance, allocation: Allocation, target: int, exemplar: Allocation
+) -> Verdict:
+    """Whether ``allocation`` attains the welfare ``target``; the witness of a
+    miss shows ``exemplar``, an allocation that attains it."""
+    achieved = welfare(instance, allocation)
+    return Verdict(None if achieved == target else WelfareGapWitness(achieved, target, exemplar))
+
+
 def evaluate_properties(
     instance: Instance, allocation: Allocation, properties: tuple[str, ...]
-) -> PropertyReport:
-    """Evaluate the requested property keys against one allocation.
-
-    The welfare keys share one branch; only ``maxw-ir`` and ``maxw-sir``
-    run (at most once) the enumeration behind :func:`welfare_maxima`.
-    """
+) -> dict[str, Verdict]:
+    """The verdict on each requested property key of one allocation, in the
+    order requested.  ``maxw-ir`` and ``maxw-sir`` share one run of the
+    enumeration behind :func:`welfare_maxima`; ``maxw`` needs none."""
     verdicts: dict[str, Verdict] = {}
     maxima: WelfareMaxima | None = None
-
-    def constrained_maxima() -> WelfareMaxima:
-        nonlocal maxima
-        if maxima is None:
-            maxima = welfare_maxima(instance)
-        return maxima
-
-    targets = {
-        "maxw": lambda: max_welfare_allocation(instance),
-        "maxw-ir": lambda: (constrained_maxima().ir, constrained_maxima().ir_argmax),
-        "maxw-sir": lambda: (constrained_maxima().sir, constrained_maxima().sir_argmax),
-    }
     for key in properties:
         if key == "ir":
-            bad = ir_violation(instance, allocation)
-            verdicts[key] = Verdict(bad is None, bad)
+            verdicts[key] = Verdict(ir_violation(instance, allocation))
         elif key == "sir":
-            bad = sir_violation(instance, allocation)
-            verdicts[key] = Verdict(bad is None, bad)
+            verdicts[key] = Verdict(sir_violation(instance, allocation))
         elif key == "po":
             verdicts[key] = is_pareto_optimal(instance, allocation)
         elif key == "core":
             verdicts[key] = is_core_stable(instance, allocation)
         elif key == "strict-core":
             verdicts[key] = is_strict_core_stable(instance, allocation)
-        elif key in targets:
-            target, exemplar = targets[key]()
-            achieved = welfare(instance, allocation)
-            gap = None if achieved == target else WelfareGapWitness(achieved, target, exemplar)
-            verdicts[key] = Verdict(gap is None, gap)
+        elif key == "maxw":
+            target, exemplar = max_welfare_allocation(instance)
+            verdicts[key] = welfare_verdict(instance, allocation, target, exemplar)
+        elif key == "maxw-ir":
+            maxima = maxima or welfare_maxima(instance)
+            verdicts[key] = welfare_verdict(instance, allocation, maxima.ir, maxima.ir_argmax)
+        elif key == "maxw-sir":
+            maxima = maxima or welfare_maxima(instance)
+            verdicts[key] = welfare_verdict(instance, allocation, maxima.sir, maxima.sir_argmax)
         else:
             raise ValueError(f"unknown property {key!r}")
-    return PropertyReport(verdicts=verdicts)
+    return verdicts

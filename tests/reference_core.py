@@ -29,8 +29,8 @@ def is_core_stable(instance, allocation, exhaustive=False):
         members = [base[b] for b in range(len(base)) if (mask >> b) & 1]
         witness = _find_strict_trade(instance, sat, members)
         if witness is not None:
-            return Verdict(False, witness)
-    return Verdict(True)
+            return Verdict(witness)
+    return Verdict()
 
 
 def _find_strict_trade(instance, sat, members):
@@ -86,11 +86,10 @@ def is_strict_core_stable(instance, allocation, exhaustive=False):
             if -1 in matched:
                 continue
             return Verdict(
-                False,
                 WeakBlockingWitness(
                     coalition=tuple(members),
                     reallocation={a: pool[matched[i]] for i, a in enumerate(members)},
                     improving_agent=winner,
                 ),
             )
-    return Verdict(True)
+    return Verdict()

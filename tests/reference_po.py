@@ -67,5 +67,5 @@ def _po_brute(instance, allocation):
             a: (instance.houses[choice[i]] if choice[i] >= 0 else None)
             for i, a in enumerate(instance.agents)
         }
-        return Verdict(False, DominationWitness(Allocation(assignment=assignment)))
-    return Verdict(True)
+        return Verdict(DominationWitness(Allocation(assignment=assignment)))
+    return Verdict()

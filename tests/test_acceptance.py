@@ -151,12 +151,13 @@ def test_criterion_4_randomized_theorem_suite():
 
 def test_criterion_5_strategyproofness_sweep():
     # The sweep is exhaustive over 2^m reports per agent, identity order.
-    # The strong variant has never produced a manipulation (exhaustive over
-    # every 3x3 market and every randomized sweep so far).  The plain-IR
-    # variant is genuinely manipulable: claiming the own endowment
-    # acceptable shrinks the manipulator's edge set, which can flip an
-    # earlier agent's refinement flag in its favor; the pinned minimal
-    # cases live in tests/test_oracles.py.  This criterion therefore fails
+    # The strong variant has never produced a manipulation (on every 2x3,
+    # 3x2, 2x4 and 3x3 market, which tests/test_census.py runs, and on
+    # every randomized sweep so far).  The plain-IR variant is genuinely
+    # manipulable: claiming the own endowment acceptable shrinks the
+    # manipulator's edge set, which can flip an earlier agent's refinement
+    # flag in its favor; the pinned minimal cases live in
+    # tests/test_oracles.py.  This criterion therefore fails
     # honestly, with every found manipulation re-verified independently.
     trials = 200
     t0 = time.time()

@@ -12,31 +12,30 @@ maxima, so every welfare-gap witness shows its exemplar, and
 ``report.json`` holds the output and every file of one ``report --sp on``
 run.  They pin the witness documents, exemplars included.
 
+``tests/golden_replay.py`` replays the whole corpus through the command
+line; it runs here in-process and under every other supported Python.
+
 ``python tests/test_golden.py`` rewrites the corpus from the current code;
 run it only to redefine the cases, never to absorb a change in output.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import io
 import json
+import os
+import subprocess
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from golden_replay import ALLOCATIONS, GOLDEN, load, mismatches, report_output, verify_output
 
 from housealloc import fileio
-from housealloc.cli import _parse_permutation, main
+from housealloc.cli import _parse_permutation
 from housealloc.gen import GenParams, random_instance, trial_params
 from housealloc.mechanisms import Mechanism, run_mechanism
-from housealloc.model import Allocation
-from housealloc.oracles import PROPERTY_KEYS
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def _trial_cases():
@@ -77,14 +76,9 @@ def _document(params: GenParams, mech: Mechanism, order: str) -> str:
     return fileio.dumps_allocation(instance, result.allocation, result.trace)
 
 
-def _load(group: str) -> list[dict]:
-    path = GOLDEN / f"{group}.jsonl"
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-
-
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_golden_documents_byte_identical(group):
-    entries = _load(group)
+    entries = load(group)
     expected_ids = [case_id for case_id, *_ in GROUPS[group]()]
     assert [e["id"] for e in entries] == expected_ids  # corpus complete, in order
     mismatched = []
@@ -96,21 +90,6 @@ def test_golden_documents_byte_identical(group):
     assert not mismatched, f"{len(mismatched)} documents changed: {mismatched[:10]}"
 
 
-def _cli(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
-
-
-# Allocations below the welfare maxima: every agent keeps its endowment (IR
-# and S-IR, so short of a maximum only in welfare), or nobody gets a house.
-ALLOCATIONS = {
-    "endowments": lambda instance: dict(instance.endowment),
-    "nothing": lambda instance: {},
-}
-
-
 def _verify_cases():
     """trial_params markets up to 7x7, the 7x7 ones on odd trials."""
     for trial in range(40):
@@ -118,36 +97,12 @@ def _verify_cases():
             yield f"verify-{trial}-{kind}", trial_params(2024, trial, 7, 7), kind
 
 
-def _verify(params: GenParams, kind: str) -> dict:
-    instance = random_instance(params)
-    allocation = Allocation(ALLOCATIONS[kind](instance))
-    with tempfile.TemporaryDirectory() as tmp:
-        inst, alloc, report = (Path(tmp) / name for name in ("i.json", "a.json", "r.json"))
-        inst.write_text(fileio.dumps_instance(instance), encoding="utf-8")
-        alloc.write_text(fileio.dumps_allocation(instance, allocation), encoding="utf-8")
-        code, stdout = _cli(["verify", str(inst), str(alloc), "--properties",
-                             ",".join(PROPERTY_KEYS), "--json", str(report)])
-        return {"exit": code, "stdout": stdout, "document": report.read_text(encoding="utf-8")}
-
-
-REPORT_ARGS = ["report", "--sp", "on", "--trials", "20", "--seed", "15",
-               "--max-agents", "5", "--max-houses", "5"]
-
-
-def _report() -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        code, stdout = _cli(REPORT_ARGS + ["--out-dir", tmp])
-        files = {p.name: p.read_text(encoding="utf-8") for p in sorted(Path(tmp).iterdir())}
-    return {"argv": REPORT_ARGS, "exit": code, "stdout": stdout.replace(tmp, "OUT"),
-            "files": files}
-
-
 def test_verify_documents_byte_identical():
-    entries = _load("verify")
+    entries = load("verify")
     assert [e["id"] for e in entries] == [case_id for case_id, *_ in _verify_cases()]
     mismatched = [
         e["id"] for e in entries
-        if _verify(GenParams(**e["params"]), e["allocation"])
+        if verify_output(e["params"], e["allocation"])
         != {k: e[k] for k in ("exit", "stdout", "document")}
     ]
     assert not mismatched, f"{len(mismatched)} verify outputs changed: {mismatched[:10]}"
@@ -159,9 +114,62 @@ def test_verify_documents_byte_identical():
 
 def test_report_files_byte_identical():
     expected = json.loads((GOLDEN / "report.json").read_text(encoding="utf-8"))
-    got = _report()
+    got = report_output()
     assert got["files"].keys() == expected["files"].keys()
     assert got == expected
+
+
+def test_mir_rounds_weigh_w_or_nothing():
+    # A MIR round either keeps a weight-W optimum or finds no perfect
+    # matching at all: no MIR round in the corpus records any other weight.
+    rounds = [
+        (round_["weight"], trace["W"])
+        for group in GROUPS
+        for entry in load(group)
+        if entry["mechanism"] == "mir"
+        for trace in [json.loads(entry["document"])["trace"]]
+        for round_ in trace["rounds"]
+    ]
+    assert rounds
+    assert all(weight in (w, None) for weight, w in rounds)
+
+
+def test_golden_replay_through_the_cli():
+    # Besides verify and report, this rebuilds every run document through
+    # `gen` and `run`, where the tests above call the generator and the
+    # mechanism directly.
+    assert mismatches() == []
+
+
+def _interpreter(version: str) -> str | None:
+    """A runnable ``python<version>``: pyenv's own build first, then PATH."""
+    candidates = sorted(Path.home().glob(f".pyenv/versions/{version}.*/bin/python{version}"))
+    candidates.append(Path(f"python{version}"))
+    for exe in candidates:
+        try:
+            probe = subprocess.run(
+                [str(exe), "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=30,
+            )
+        except OSError:
+            continue
+        if probe.returncode == 0 and probe.stdout.strip() == version:
+            return str(exe)
+    return None
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_golden_replay_under_each_supported_python(version):
+    exe = _interpreter(version)
+    if exe is None:
+        pytest.skip(f"no runnable python{version} found")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [exe, str(root / "tests" / "golden_replay.py")],
+        capture_output=True, text=True, env=env, cwd=root, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _write(group: str) -> None:
@@ -182,14 +190,14 @@ def _write(group: str) -> None:
 def _write_verify() -> None:
     lines = [
         json.dumps({"id": case_id, "params": asdict(params), "allocation": kind,
-                    **_verify(params, kind)}, ensure_ascii=False) + "\n"
+                    **verify_output(asdict(params), kind)}, ensure_ascii=False) + "\n"
         for case_id, params, kind in _verify_cases()
     ]
     (GOLDEN / "verify.jsonl").write_text("".join(lines), encoding="utf-8")
 
 
 def _write_report() -> None:
-    text = json.dumps(_report(), indent=1, ensure_ascii=False) + "\n"
+    text = json.dumps(report_output(), indent=1, ensure_ascii=False) + "\n"
     (GOLDEN / "report.json").write_text(text, encoding="utf-8")
 
 
