@@ -186,34 +186,17 @@ def dumps_allocation(
     allocation: Allocation,
     trace: MechanismTrace | dict[str, Any] | None = None,
 ) -> str:
+    """The allocation document; a trace dict, as :func:`loads_allocation`
+    returns it, is written exactly as given."""
     doc: dict[str, Any] = {
         "allocation": {a: allocation.house_of(a) for a in instance.agents},
         "welfare": welfare(instance, allocation),
     }
-    if trace is not None:
-        if isinstance(trace, MechanismTrace):
-            doc["trace"] = trace_to_doc(trace, instance)
-        else:
-            doc["trace"] = _normalize_trace_doc(trace, instance)
+    if isinstance(trace, MechanismTrace):
+        doc["trace"] = trace_to_doc(trace, instance)
+    elif trace is not None:
+        doc["trace"] = trace
     return dumps_json(doc)
-
-
-def _normalize_trace_doc(trace: dict[str, Any], instance: Instance) -> dict[str, Any]:
-    _require_keys(trace, {"W", "permutation", "t", "rounds"}, set(), '"trace"')
-    return {
-        "W": trace["W"],
-        "permutation": trace["permutation"],
-        "t": {a: trace["t"][a] for a in instance.agents if a in trace["t"]},
-        "rounds": [
-            {
-                "agent": r["agent"],
-                "removed": r["removed"],
-                "weight": r["weight"],
-                "accepted": r["accepted"],
-            }
-            for r in trace["rounds"]
-        ],
-    }
 
 
 def loads_allocation(

@@ -15,15 +15,13 @@ arithmetic grows with the graph.  A left vertex with no path to a free
 right vertex means that no perfect matching exists.
 
 The solver returns its live state, an :class:`OptimalMatching`: the rows,
-the matching, its weight and the duals that prove it optimal.  It
-replaces rows and never edits one, so a shallow copy is independent.  It
-stays optimal while left vertices lose their weight-0 edges: deleting edges
-keeps the duals feasible, so an optimum that survives the deletion needs
-no work, and one that loses its edge needs a single search from the vertex
-that lost it.  The same repair carries an optimum to a graph that
-differs in one left vertex's row (:meth:`OptimalMatching.swap_row`): that
-vertex's dual drops to the cheapest reduced cost on its new row, and its
-matched edge either stays tight or gives way to one search.
+the matching, its weight and the duals that prove it optimal.  One repair,
+:meth:`OptimalMatching.replace_row`, carries that optimum to a graph that
+differs in one left vertex's row: the vertex's dual moves to the cheapest
+reduced cost on its new row, which keeps the duals feasible, and its
+matched edge either stays tight or gives way to a single search.  The
+repair replaces rows and never edits one, so a shallow copy is
+independent.
 
 Determinism: under optimal duals the maximum-weight perfect matchings are
 exactly the perfect matchings of the tight subgraph (complementary
@@ -41,15 +39,15 @@ from heapq import heappop, heappush
 
 class OptimalMatching:
     """A maximum-weight perfect matching of the graph ``rows`` plus duals
-    proving it optimal, kept optimal while edges of the graph are deleted.
+    proving it optimal, kept optimal while rows of the graph are replaced.
 
     ``mate[li]`` is the right vertex of left vertex li and ``owner[rj]`` the
     left vertex of right vertex rj (-1 while free); ``weight`` is the sum of
     the matched edges' weights.  The duals ``u``, ``v`` satisfy ``1 -
     weight - u[li] - v[rj] >= 0`` on every edge, with equality on matched
-    edges.  The caller's row list is kept, not copied; :meth:`drop_zero_edges`
-    and :meth:`swap_row` replace its entries and never edit a row dict, so
-    :meth:`copy` is shallow: it copies the list and shares the rows.
+    edges.  The caller's row list is kept, not copied; :meth:`replace_row`
+    replaces its entries and never edits a row dict, so :meth:`copy` is
+    shallow: it copies the list and shares the rows.
     """
 
     __slots__ = ("rows", "mate", "owner", "u", "v", "weight")
@@ -120,29 +118,6 @@ class OptimalMatching:
                 return
             rj = nxt
 
-    def drop_zero_edges(self, li: int, min_weight: int) -> tuple[list[int], int | None, bool]:
-        """Delete the weight-0 edges of left vertex ``li`` and re-optimise.
-
-        Returns the right ends of the deleted edges in ascending order, the
-        maximum weight of a perfect matching without them (None if none
-        remains) and whether the deletion was kept: it is kept iff that
-        weight is at least ``min_weight``.  Otherwise the old row goes back
-        and the matching and duals are left as they were.
-        """
-        row = self.rows[li]
-        trimmed = {rj: w for rj, w in row.items() if w}
-        self.rows[li] = trimmed
-        if self.mate[li] in trimmed:
-            # The matched edge survived, so the optimum did too.
-            weight = self.weight
-        else:
-            # li's matched edge had weight 0 and is gone.
-            weight = self._rematch(li, self.weight, min_weight)
-        kept = weight is not None and weight >= min_weight
-        if not kept:
-            self.rows[li] = row
-        return sorted(rj for rj, w in row.items() if w == 0), weight, kept
-
     def copy(self) -> OptimalMatching:
         """An independent copy: the row list and the matching state are
         copied and the row dicts, never edited, are shared, so refining one
@@ -154,48 +129,57 @@ class OptimalMatching:
         twin.weight = self.weight
         return twin
 
-    def swap_row(self, li: int, row: dict[int, int]) -> bool:
-        """Give left vertex ``li`` the non-empty ``row`` in place of its
-        current one and re-optimise; False if the new graph has no perfect
-        matching, which leaves the state unusable.
+    def replace_row(self, li: int, row: dict[int, int], floor: int) -> int | None:
+        """Give left vertex ``li`` the row ``row`` in place of its current one
+        and re-optimise.
+
+        Returns the maximum weight of a perfect matching of the new graph,
+        None if it has none.  The new row and optimum are adopted iff that
+        weight is at least ``floor``; otherwise the rows, the matching and
+        the duals stay exactly as they were.
 
         Setting ``u[li]`` to the smallest reduced cost on the new row keeps
         the duals feasible, and every other matched edge stays tight.  So if
         li's matched edge is still present and tight the optimum stands;
-        otherwise one search from li finds the new one.
+        otherwise li's house is freed, the only free right vertex then, and
+        one search from li finds the new optimum.
         """
+        if not row:
+            return None
         rows, u, v = self.rows, self.u, self.v
         h = self.mate[li]
-        rest = self.weight - rows[li][h]  # the weight of the other matched edges
-        rows[li] = row
-        u[li] = min(1 - w - v[rj] for rj, w in row.items())
-        if h in row and 1 - row[h] - u[li] - v[h] == 0:
-            self.weight = rest + row[h]
-            return True
-        return self._rematch(li, rest, 0) is not None
-
-    def _rematch(self, li: int, rest: int, min_weight: int) -> int | None:
-        """Free li's house, the only free right vertex then, and find the new
-        optimum by one search from li; ``rest`` is the weight of the other
-        matched edges.  Returns the optimum's weight, or None if there is no
-        perfect matching, and adopts it iff that is at least ``min_weight``."""
-        h = self.mate[li]
-        self.owner[h] = -1
-        found = self._search(li)
-        if found is None:
-            self.owner[h] = li
-            return None
-        end, settled, prev = found
-        # The path's reduced costs telescope: its non-matched edges sum to
-        # settled[end] and its matched edges are tight, so the optimum after
-        # augmenting weighs rest + 1 - settled[end] - u[li] - v[end].
-        weight = rest + 1 - (settled[end] + self.u[li] + self.v[end])
-        if weight >= min_weight:
-            # The duals change only here, so a rejection needs no undo.
-            self._augment(li, end, settled, prev)
-            self.weight = weight
+        old_row, old_u = rows[li], u[li]
+        low = float("inf")  # a loop, not min() over a generator: every round runs this
+        for rj, w in row.items():
+            cost = 1 - w - v[rj]
+            if cost < low:
+                low = cost
+        rows[li], u[li] = row, low  # low is an int: the row is not empty
+        rest = self.weight - old_row[h]  # the weight of the other matched edges
+        if h in row and 1 - row[h] - low == v[h]:
+            weight = rest + row[h]
+            if weight >= floor:
+                self.weight = weight
+                return weight
         else:
-            self.owner[h] = li
+            owner = self.owner
+            owner[h] = -1
+            found = self._search(li)
+            weight = None
+            if found is not None:
+                end, settled, prev = found
+                # The path's reduced costs telescope: its non-matched edges
+                # sum to settled[end] and its matched edges are tight, so the
+                # optimum after augmenting weighs rest + 1 - settled[end] -
+                # u[li] - v[end].
+                weight = rest + 1 - (settled[end] + u[li] + v[end])
+                if weight >= floor:
+                    # Besides li's row and dual, the state changes only here.
+                    self._augment(li, end, settled, prev)
+                    self.weight = weight
+                    return weight
+            owner[h] = li
+        rows[li], u[li] = old_row, old_u
         return weight
 
     def _cycle(self, start: int, fixed: int, target: int, dead: set[int]) -> list | None:

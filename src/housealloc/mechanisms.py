@@ -10,7 +10,9 @@ still exists; the flag recorded for the agent says whether it is now
 guaranteed an acceptable house in every remaining optimum.
 
 That one solve is the only one.  The solver's optimum and dual potentials
-are carried through the walk, and each round is decided from them:
+are carried through the walk, and each round hands the solver the agent's
+row without its weight-0 edges
+(:meth:`~housealloc.matching.OptimalMatching.replace_row` with floor W):
 
 * the agent holds a weight-1 edge in the current optimum: the optimum
   survives the deletion, so the round is accepted with weight W and no
@@ -18,8 +20,8 @@ are carried through the walk, and each round is decided from them:
 * otherwise its matched edge is among the deleted ones: one shortest-path
   search from the agent, warm-started from the duals, gives the exact
   optimum weight after the deletion (or none), which decides the round
-  and is what the trace records.  A rejected round puts the agent's old
-  row back and leaves the optimum and duals untouched.
+  and is what the trace records.  A rejected round leaves the agent's old
+  row, the optimum and the duals as they were.
 
 The final allocation is the lexicographically smallest optimum of the
 refined graph, read once from the carried duals at the end.  Under optimal
@@ -29,10 +31,10 @@ from or passed through.
 
 For the same reason a misreport needs no solve of its own: it changes
 only the reporter's row, so each report's run starts from a copy of the
-truthful optimum with the new row swapped in and repaired by at most one
-search, and ends exactly where a cold run would.  So every run starts
-from a :class:`Solved`, which solves once and makes the truthful run, all
-that :func:`run_mechanism` returns; ``report`` shares one between its
+truthful optimum with the new row put in by the same repair (floor 0),
+and ends exactly where a cold run would.  So every run starts from a
+:class:`Solved`, which solves once and makes the truthful run, all that
+:func:`run_mechanism` returns; ``report`` shares one between its
 property checks and its misreport sweep.
 
 Graph shape: max(n, m) vertices a side.  Left vertex i < n is agent i,
@@ -215,24 +217,30 @@ def serial_refinement(
 
     ``optimum`` is the solver's optimum of the mechanism graph of
     ``instance``, duals included; its weight is the target W.  For each
-    agent: drop all its weight-0 edges and keep the drop (flag 1) iff a
-    perfect matching of weight W survives; otherwise put the edges back
-    (flag 0).  Each round is decided from the optimum carried over from the
-    round before, as the module docstring describes, and records the
-    removed right vertices by their ``labels``.  Mutates ``optimum`` in
-    place, leaving it at the lexicographically smallest optimum, and
-    returns the flags and the per-round log.
+    agent: replace its row by the row's weight-1 edges and keep the
+    replacement (flag 1) iff a perfect matching of weight W survives;
+    otherwise the old row stays (flag 0).  Each round is decided from the
+    optimum carried over from the round before, as the module docstring
+    describes, and records the removed weight-0 edges' right vertices by
+    their ``labels``, in index order.  Mutates ``optimum`` in place,
+    leaving it at the lexicographically smallest optimum, and returns the
+    flags and the per-round log.
     """
     target = optimum.weight
+    rows = optimum.rows
     index = instance.agent_index
     flags: dict[str, int] = {}
     rounds: list[RoundRecord] = []
     for agent in permutation:
         if agent not in index:
             raise PermutationError(f"permutation names unknown agent {agent!r}")
-        removed, weight, accepted = optimum.drop_zero_edges(index[agent], target)
+        li = index[agent]
+        row = rows[li]
+        weight = optimum.replace_row(li, {rj: w for rj, w in row.items() if w}, target)
+        accepted = weight is not None and weight >= target
         flags[agent] = 1 if accepted else 0
-        rounds.append(RoundRecord(agent, tuple([labels[rj] for rj in removed]), weight, accepted))
+        removed = tuple([labels[rj] for rj in sorted(rj for rj, w in row.items() if not w)])
+        rounds.append(RoundRecord(agent, removed, weight, accepted))
     optimum.canonical()
     return flags, tuple(rounds)
 
@@ -294,7 +302,7 @@ class Solved:
             if targets.isdisjoint(row):
                 continue
             optimum = self.optimum.copy()
-            if not optimum.swap_row(instance.agent_index[agent], row):
+            if optimum.replace_row(instance.agent_index[agent], row, 0) is None:
                 raise InfeasibleInput("mechanism graph admits no perfect matching")
             twisted = instance.with_report(agent, reported)
             yield reported, _refine(twisted, optimum, self.permutation, self.labels)

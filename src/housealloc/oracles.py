@@ -22,10 +22,10 @@ per step.
 The misreport sweep is the one check that runs the mechanism, and so the
 solver, itself.  It skips every report that cannot pay and runs the rest
 from the mechanism's :class:`housealloc.mechanisms.Solved` without a
-solve of its own: each report swaps the reporter's row into a copy of that
-optimum and repairs it with at most one search, with the same results as a
-cold run per report.  Its witnesses are re-checked by two cold runs of
-:func:`housealloc.mechanisms.run_mechanism`.
+solve of its own: each report's row goes into a copy of that optimum by
+the solver's one row repair, which runs at most one search, with the same
+results as a cold run per report.  Its witnesses are re-checked by two
+cold runs of :func:`housealloc.mechanisms.run_mechanism`.
 
 The two exhaustive searches left have fixed size limits: the welfare
 enumeration takes at most ``MAX_ALLOC_AGENTS`` x ``MAX_ALLOC_HOUSES``
@@ -556,7 +556,7 @@ def check_strategyproofness(solved: Solved) -> ManipulationWitness | None:
 
     The sweep solves nothing itself: ``solved`` holds the optimum and the
     truthful run, and every misreport run starts from that optimum with
-    one row swap and at most one search.
+    the reporter's row replaced and at most one search.
     """
     instance = solved.instance
     m = instance.num_houses

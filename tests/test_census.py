@@ -6,7 +6,9 @@ through :func:`check_strategyproofness` for both mechanisms, identity
 order.  MSIR is never manipulable here, which is the paper's
 strategyproofness claim, exhaustively at these sizes.  MIR is, on a fixed
 number of markets, and every first witness has one shape: the agent owns
-a house it does not accept and reports it acceptable.
+a house it does not accept and reports it acceptable.  Every truthful run
+also meets the README table's other claims for its mechanism (criterion 4
+on every market).
 """
 
 from __future__ import annotations
@@ -17,10 +19,20 @@ import pytest
 
 from housealloc.mechanisms import Mechanism, Solved
 from housealloc.model import validate_instance
-from housealloc.oracles import check_strategyproofness, verify_manipulation_witness
+from housealloc.oracles import (
+    check_strategyproofness,
+    evaluate_properties,
+    verify_manipulation_witness,
+)
 
 # (agents, houses): (markets, MIR-manipulable markets)
 CENSUS = {(2, 3): (832, 0), (3, 2): (832, 21), (2, 4): (5_376, 0), (3, 3): (17_408, 147)}
+
+# the README table's "yes" rows other than misreport-proofness
+CLAIMS = {
+    Mechanism.MSIR: ("sir", "ir", "core", "maxw-sir"),
+    Mechanism.MIR: ("ir", "po", "maxw", "maxw-ir"),
+}
 
 
 def _markets(n: int, m: int):
@@ -40,14 +52,18 @@ def _markets(n: int, m: int):
 @pytest.mark.parametrize("size", list(CENSUS), ids=lambda size: "%dx%d" % size)
 def test_census(size):
     markets, mir_expected = CENSUS[size]
-    count, manipulable = 0, {mech: [] for mech in Mechanism}
+    count, manipulable, broken = 0, {mech: [] for mech in Mechanism}, []
     for instance in _markets(*size):
         count += 1
         for mech in Mechanism:
-            witness = check_strategyproofness(Solved(instance, mech))
+            solved = Solved(instance, mech)
+            verdicts = evaluate_properties(instance, solved.truthful.allocation, CLAIMS[mech])
+            broken.extend((instance, mech, key) for key, v in verdicts.items() if not v.holds)
+            witness = check_strategyproofness(solved)
             if witness is not None:
                 manipulable[mech].append((instance, witness))
     assert count == markets
+    assert broken == []
     assert manipulable[Mechanism.MSIR] == []
     assert len(manipulable[Mechanism.MIR]) == mir_expected
     for instance, witness in manipulable[Mechanism.MIR]:

@@ -1,7 +1,8 @@
 """Solver tests against an independent brute-force permutation search."""
 
-from housealloc.matching import max_weight_perfect_matching
-from housealloc.mechanisms import Mechanism, build_graph
+from housealloc.matching import OptimalMatching, max_weight_perfect_matching
+from housealloc.mechanisms import Mechanism, build_graph, run_mechanism
+from housealloc.model import validate_instance
 from housealloc.rng import SplitMix64
 from conftest import assert_certified, brute_force_optimum, has_perfect_matching
 from reference_solver import reference_optimum
@@ -80,37 +81,81 @@ def test_msir_graph_of_e1_weight(e1):
     assert lex_min(g) == brute
 
 
+def round_of(instance, mechanism, agent):
+    """The refinement round of ``agent`` in the identity-order run."""
+    trace = run_mechanism(instance, mechanism).trace
+    return next(r for r in trace.rounds if r.agent == agent)
+
+
 def test_remove_zero_edges_counts():
     g = graph_from_edges(3, [(0, 0, 0), (0, 1, 1), (0, 2, 0), (1, 0, 1), (2, 2, 1)])
     optimum = max_weight_perfect_matching(g)
-    removed, weight, kept = optimum.drop_zero_edges(0, 3)
-    assert (removed, weight, kept) == ([0, 2], 3, True)
+    assert optimum.replace_row(0, {1: 1}, 3) == 3
     assert g[0] == {1: 1}
+    # the same graph as the MSIR graph of a market: agent a owns nothing and
+    # wants h2, b and c keep the houses they own and want
+    market = validate_instance(
+        ["a", "b", "c"], ["h1", "h2", "h3"], {"b": "h1", "c": "h3"},
+        {"a": {"h2"}, "b": {"h1"}, "c": {"h3"}},
+    )
+    assert build_graph(market, Mechanism.MSIR) == graph_from_edges(3, [
+        (0, 0, 0), (0, 1, 1), (0, 2, 0), (1, 0, 1), (2, 2, 1)])
+    assert round_of(market, Mechanism.MSIR, "a") == ("a", ("h1", "h3"), 3, True)
 
 
 def test_remove_zero_edges_no_zero_edges():
     g = graph_from_edges(2, [(0, 0, 1), (1, 1, 1)])
     optimum = max_weight_perfect_matching(g)
-    assert optimum.drop_zero_edges(0, 2) == ([], 2, True)
+    assert optimum.replace_row(0, {0: 1}, 2) == 2
+    market = validate_instance(
+        ["a", "b"], ["h1", "h2"], {"a": "h1", "b": "h2"}, {"a": {"h1"}, "b": {"h2"}}
+    )
+    assert build_graph(market, Mechanism.MSIR) == g
+    assert round_of(market, Mechanism.MSIR, "a") == ("a", (), 2, True)
 
 
 def test_remove_zero_edges_e1_agent4(e1):
     g = build_graph(e1, Mechanism.MSIR)
     li = e1.agent_index["4"]
     assert g[li] == {3: 0, 4: 1}  # h4 weight 0, h5 weight 1
-    removed, _, _ = max_weight_perfect_matching(g).drop_zero_edges(li, 5)
-    assert removed == [3]
+    assert round_of(e1, Mechanism.MSIR, "4").removed == ("h4",)
 
 
-def test_drop_zero_edges_replaces_the_row_and_never_edits_it():
+def test_replace_row_replaces_the_row_and_never_edits_it():
     g = graph_from_edges(3, [(0, 0, 0), (0, 1, 1), (0, 2, 0), (1, 0, 1), (2, 2, 1)])
-    for min_weight, kept in ((3, True), (4, False)):
+    for floor, kept in ((3, True), (4, False)):
         optimum = max_weight_perfect_matching([dict(row) for row in g])
         row = optimum.rows[0]
         before = list(row.items())
-        assert optimum.drop_zero_edges(0, min_weight) == ([0, 2], 3, kept)
+        trimmed = {1: 1}
+        assert optimum.replace_row(0, trimmed, floor) == 3
         assert list(row.items()) == before
-        assert (optimum.rows[0] is row) is not kept
+        assert optimum.rows[0] is (trimmed if kept else row)
+
+
+def test_a_round_that_keeps_a_weight_1_matched_edge_makes_no_search(monkeypatch):
+    # dropping weight-0 edges moves no dual when the matched edge has weight
+    # 1, so that edge stays tight and the optimum stands
+    def no_search(self, root):
+        raise AssertionError("searched")
+
+    rng = SplitMix64(31)
+    decided = 0
+    for _ in range(200):
+        size = 1 + rng.bounded(6)
+        optimum = max_weight_perfect_matching(random_graph(rng, size, 0.7))
+        if optimum is None:
+            continue
+        for li in range(size):
+            row = optimum.rows[li]
+            if row[optimum.mate[li]]:
+                twin = optimum.copy()
+                with monkeypatch.context() as patch:
+                    patch.setattr(OptimalMatching, "_search", no_search)
+                    weight = twin.replace_row(li, {rj: w for rj, w in row.items() if w}, 0)
+                assert weight == optimum.weight
+                decided += 1
+    assert decided
 
 
 def test_restore_is_exact_inverse():
@@ -126,13 +171,14 @@ def test_restore_is_exact_inverse():
         before = snapshot(optimum)
         best_before = lex_min(g)
         # asking for one more than the optimum forces a rejection
-        min_weight = optimum.weight + rng.bounded(2)
-        removed, weight, kept = optimum.drop_zero_edges(li, min_weight)
-        assert removed == sorted(rj for rj, w in before[0][li].items() if w == 0)
+        floor = optimum.weight + rng.bounded(2)
+        row = before[0][li]
+        weight = optimum.replace_row(li, {rj: w for rj, w in row.items() if w}, floor)
+        kept = weight is not None and weight >= floor
         # the reported weight is the optimum of the graph without the edges
         trimmed = graph_from_edges(size, [
             (i, j, w) for i, row in enumerate(before[0]) for j, w in row.items()
-            if i != li or j not in removed
+            if i != li or w
         ])
         after_removal = lex_min(trimmed)
         assert weight == (None if after_removal is None else after_removal[0])
@@ -147,6 +193,42 @@ def test_restore_is_exact_inverse():
             assert snapshot(optimum) == before
             assert lex_min(g) == best_before
     assert rejected and kept_count
+
+
+def test_replace_row_matches_a_cold_solve():
+    # any new row, empty ones included, and floors up to one above the new
+    # optimum: the repair returns the cold optimum of the changed graph and
+    # either adopts it, certified and with the cold lex-min, or changes
+    # nothing
+    rng = SplitMix64(4242)
+    adopted = rejected = infeasible = empty = 0
+    for _ in range(3000):
+        size = 1 + rng.bounded(5)
+        density = 0.3 + 0.6 * rng.float01()
+        g = random_graph(rng, size, density)
+        optimum = max_weight_perfect_matching(g)
+        if optimum is None:
+            continue
+        li = rng.bounded(size)
+        row = {rj: 1 if rng.bernoulli(0.5) else 0
+               for rj in range(size) if rng.bernoulli(density)}
+        changed = g[:li] + [row] + g[li + 1:]
+        cold = lex_min(changed)
+        floor = rng.bounded((size if cold is None else cold[0]) + 2)
+        before = snapshot(optimum)
+        weight = optimum.replace_row(li, row, floor)
+        assert weight == (None if cold is None else cold[0])
+        if weight is not None and weight >= floor:
+            adopted += 1
+            assert_certified(optimum)
+            optimum.canonical()
+            assert (optimum.weight, tuple(optimum.mate)) == cold
+        else:
+            rejected += weight is not None
+            infeasible += weight is None
+            empty += not row
+            assert snapshot(optimum) == before
+    assert adopted and rejected and infeasible and empty
 
 
 def test_solver_matches_brute_force_on_random_graphs():

@@ -14,6 +14,7 @@ from housealloc.fileio import dumps_allocation, dumps_instance
 from housealloc.gen import GenParams, random_instance
 from housealloc.mechanisms import Mechanism, PermutationPolicy, run_mechanism
 from housealloc.model import validate_instance, welfare
+from test_mir_greedy_reference import assert_greedy_flags
 
 
 def chain(n):
@@ -66,3 +67,9 @@ def test_seeded_200_agent_market(mechanism, accept_prob):
     strict = oracles.is_strict_core_stable(instance, result.allocation)
     if not strict.holds:
         assert oracles.verify_weak_blocking_witness(instance, result.allocation, strict.witness)
+
+
+@pytest.mark.parametrize("n, accept_prob", [(200, 0.015), (500, 0.01)])
+def test_seeded_mir_market_flags_are_the_greedy_basis(n, accept_prob):
+    instance = random_instance(GenParams(n, n, 0.8, accept_prob, 7))
+    assert_greedy_flags(instance, PermutationPolicy.seeded(3))

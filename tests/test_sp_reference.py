@@ -2,7 +2,7 @@
 
 ``tests/reference_sp.py`` is the sweep with one cold ``run_mechanism`` per
 report.  ``check_strategyproofness`` carries the optimum of a
-:class:`Solved` to every report with a row swap; it must return the
+:class:`Solved` to every report with a row replaced; it must return the
 same first witness, every warm run must equal the cold run on the
 misreported instance, trace included, and a sweep must solve only once.
 The sweep runs no report that cannot pay: a report it skips must leave the
